@@ -1,76 +1,31 @@
-//! `step_scaling` — engine step time of the barrier vs the sharded
-//! pipeline across worker-thread counts, and of the persistent worker
-//! pool vs the per-call `std::thread::scope` fallback.
-//!
-//! The sharded pipeline halves the interior Riemann solves and removes
-//! the global predictor→corrector barrier, so it should be no slower at
-//! one thread and faster once several workers can overlap a shard's face
-//! sweep with its neighbours' predictors. The persistent pool removes
-//! the per-`step` thread spawn/join cost, which dominates on small
-//! meshes at high thread counts. This binary prints both comparisons,
-//! per thread count, and appends a `BENCH_gemm.json`-style point per
-//! thread count recording the pool comparison.
-//!
-//! A third section compares `stepping = global` against clustered local
-//! time stepping on the dt-heterogeneous `acoustic_layered` workload
-//! (10:1 wave-speed contrast): the stiff layer forces the global CFL dt
-//! onto every cell, while LTS advances the slow bulk at up to 8× the
-//! base dt and only pays sub-window face corrections at the cluster
-//! boundary. Costs are reported per unit of *simulated* time so the two
-//! schedules are directly comparable, and each point lands in the same
-//! output file with `kind = "lts"`.
+//! `step_scaling` — engine step cost of `stepping = global` against
+//! clustered local time stepping across worker-thread counts, on the
+//! dt-heterogeneous `acoustic_layered` workload (10:1 wave-speed
+//! contrast): the stiff layer forces the global CFL dt onto every cell,
+//! while LTS advances the slow bulk at up to 8× the base dt and only
+//! pays sub-window face corrections at the cluster boundary. Costs are
+//! reported per unit of *simulated* time so the two schedules are
+//! directly comparable, and each point is appended to the output file
+//! with `kind = "lts"`.
 //!
 //! Environment knobs:
 //!
 //! * `ADERDG_ORDER` — scheme order (default 5)
-//! * `ADERDG_CELLS` — cells per dimension (default 6)
+//! * `ADERDG_CELLS` — cells along y and z (default 6; x has 8)
 //! * `ADERDG_STEPS` — timed steps per configuration (default 5)
 //! * `ADERDG_SCALING_THREADS` — comma-separated thread counts
 //!   (default `1,2,4,8`)
-//! * `ADERDG_BENCH_OUT` — pool-comparison point file
-//!   (default `BENCH_pool.json`)
+//! * `ADERDG_BENCH_OUT` — point file (default `BENCH_pool.json`)
 //! * `ADERDG_SMOKE=1` — tiny configuration for CI smoke runs (order 3,
-//!   3³ cells, 2 steps, threads 1,2)
+//!   8×3×3 cells, 2 steps, threads 1,2)
 
 use aderdg_bench::env_usize;
 use aderdg_bench::points::{append_point, JsonPoint};
-use aderdg_core::par::PoolMode;
-use aderdg_core::{par, Engine, EngineConfig, PipelineMode, SteppingMode, TuningMode};
+use aderdg_core::{par, Engine, EngineConfig, SteppingMode, TuningMode};
 use aderdg_mesh::{BoundaryKind, StructuredMesh};
-use aderdg_pde::{Acoustic, AcousticPlaneWave, ExactSolution};
+use aderdg_pde::Acoustic;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Median step time in microseconds per cell.
-fn measure(pipeline: PipelineMode, order: usize, cells_per_dim: usize, steps: usize) -> f64 {
-    let wave = AcousticPlaneWave {
-        direction: [1.0, 0.0, 0.0],
-        amplitude: 1.0,
-        wavenumber: 1.0,
-        rho: 1.0,
-        bulk: 1.0,
-    };
-    let mesh = StructuredMesh::unit_cube(cells_per_dim);
-    let cells = mesh.num_cells();
-    let config = EngineConfig::new(order)
-        .with_tuning(TuningMode::Static)
-        .with_pipeline(pipeline);
-    let mut engine = Engine::new(mesh, Acoustic, config);
-    engine.set_initial(|x, q| {
-        wave.evaluate(x, 0.0, q);
-        Acoustic::set_params(q, 1.0, 1.0);
-    });
-    let dt = engine.max_dt();
-    engine.step(dt); // warm-up: scratch allocation, page faults
-    let mut times = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let t0 = Instant::now();
-        engine.step(dt);
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2] * 1e6 / cells as f64
-}
 
 /// Median step cost in microseconds per unit of *simulated* time on the
 /// layered 10:1 wave-speed contrast (the `acoustic_layered` scenario's
@@ -121,68 +76,9 @@ fn main() {
             threads,
         )
     };
-    let cells = cells_per_dim * cells_per_dim * cells_per_dim;
-
-    println!("\n=== step_scaling: barrier vs sharded pipeline ===");
-    println!("order {order}, {cells} cells ({cells_per_dim}^3), median of {steps} steps");
-    println!(
-        "{:>8} {:>16} {:>16} {:>10}",
-        "threads", "barrier µs/cell", "sharded µs/cell", "speedup"
-    );
-    for &t in &threads {
-        par::set_num_threads(t);
-        let barrier = measure(PipelineMode::Barrier, order, cells_per_dim, steps);
-        let sharded = measure(PipelineMode::Sharded, order, cells_per_dim, steps);
-        println!(
-            "{:>8} {:>16.3} {:>16.3} {:>9.2}x",
-            t,
-            barrier,
-            sharded,
-            barrier / sharded
-        );
-    }
-
-    // Pool-mode comparison: the same sharded step with the per-call
-    // `std::thread::scope` fallback vs the persistent work-stealing pool.
-    // The gap is pure scheduling overhead — spawn/join plus the central
-    // ready-queue lock — so it is widest on small meshes at high thread
-    // counts, exactly where `ADERDG_SMOKE` and the default config sit.
     let out: PathBuf = std::env::var("ADERDG_BENCH_OUT")
         .unwrap_or_else(|_| "BENCH_pool.json".into())
         .into();
-    println!("\n=== step_scaling: scoped threads vs persistent pool (sharded) ===");
-    println!(
-        "{:>8} {:>16} {:>16} {:>10}",
-        "threads", "scoped µs/cell", "pooled µs/cell", "speedup"
-    );
-    for &t in &threads {
-        par::set_num_threads(t);
-        par::set_pool_mode(PoolMode::Scoped);
-        let scoped = measure(PipelineMode::Sharded, order, cells_per_dim, steps);
-        par::set_pool_mode(PoolMode::Persistent);
-        let pooled = measure(PipelineMode::Sharded, order, cells_per_dim, steps);
-        println!(
-            "{:>8} {:>16.3} {:>16.3} {:>9.2}x",
-            t,
-            scoped,
-            pooled,
-            scoped / pooled
-        );
-        let point = JsonPoint::new()
-            .str("kind", "pool")
-            .str("pipeline", "sharded")
-            .int("order", order)
-            .int("cells", cells)
-            .int("steps", steps)
-            .int("threads", t)
-            .int("smoke", usize::from(smoke))
-            .num("scoped_us_per_cell", scoped)
-            .num("pooled_us_per_cell", pooled)
-            .num("speedup", scoped / pooled)
-            .finish();
-        append_point(&out, &point).expect("write pool bench point");
-    }
-    println!("pool points -> {}", out.display());
 
     // Clustered LTS vs global stepping on the 10:1 layered medium. The
     // layer occupies the first quarter of the x extent, so most cells sit

@@ -9,9 +9,9 @@
 //! ```text
 //! aderdg-run --list
 //! aderdg-run --scenario loh1 --order 4 --kernel aosoa_splitck \
-//!            --pipeline sharded --tuning model --out run.csv
+//!            --stepping lts --tuning model --out run.csv
 //! aderdg-run --config run.toml
-//! aderdg-run --smoke-all            # CI gate: every scenario, both pipelines
+//! aderdg-run --smoke-all            # CI gate: every scenario, both stepping modes
 //! ```
 //!
 //! The library half exists so the parser and the run plumbing are unit
@@ -23,7 +23,7 @@
 pub mod toml;
 
 use aderdg_core::checkpoint::Checkpoint;
-use aderdg_core::engine::PipelineMode;
+use aderdg_core::engine::SteppingMode;
 use aderdg_core::jobs::{JobQueue, JobStatus};
 use aderdg_core::scenario::{RunRequest, RunSummary, ScenarioRegistry};
 use std::fmt;
@@ -67,8 +67,8 @@ USAGE:
   aderdg-run --scenario <name> [OPTIONS] run one scenario
   aderdg-run --config <file> [OPTIONS]   run from a TOML config ([run] + [solver]
                                          tables); flags override file values
-  aderdg-run --smoke-all [--docs <file>] smoke-run every scenario on both
-                                         pipelines and check the gallery doc
+  aderdg-run --smoke-all [--docs <file>] smoke-run every scenario under both
+                                         stepping modes and check the gallery doc
                                          (default docs/SCENARIOS.md)
   aderdg-run --help
 
@@ -80,9 +80,8 @@ SOLVER OPTIONS (defaults come from the scenario):
   --rule <gauss_legendre|gauss_lobatto>
   --block-size <n|auto>     predictor block size
   --tuning <static|model|probe>
-  --pipeline <barrier|sharded>
   --stepping <global|lts>   global CFL dt, or clustered local time stepping
-  --shard-size <n|auto>     cells per shard (sharded pipeline)
+  --shard-size <n|auto>     cells per shard of the step's task graph
 
 RUN OPTIONS:
   --cells <n>               cells per axis (uniform override)
@@ -134,7 +133,7 @@ pub enum Command {
     ListNames,
     /// Run one scenario.
     Run(Box<RunArgs>),
-    /// `--smoke-all`: every scenario × both pipelines + docs gate.
+    /// `--smoke-all`: every scenario × both stepping modes + docs gate.
     SmokeAll {
         /// Gallery document to check (default `docs/SCENARIOS.md`).
         docs: PathBuf,
@@ -383,7 +382,6 @@ fn merge_requests(base: &mut RunRequest, over: RunRequest) {
         rule,
         block_size,
         tuning,
-        pipeline,
         stepping,
         shard_size,
         cells,
@@ -581,28 +579,28 @@ pub fn missing_gallery_sections(docs_text: &str) -> Vec<&'static str> {
 }
 
 /// The `--smoke-all` gate: every registered scenario runs in smoke mode
-/// on **both** pipelines, and every one has a `docs/SCENARIOS.md`
+/// under **both** stepping modes, and every one has a `docs/SCENARIOS.md`
 /// section — a new scenario cannot land unrunnable or undocumented.
 pub fn smoke_all(docs: &Path, log: &mut dyn Write) -> Result<(), CliError> {
     for scenario in ScenarioRegistry::global().scenarios() {
         let info = scenario.info();
-        for pipeline in [PipelineMode::Sharded, PipelineMode::Barrier] {
+        for stepping in [SteppingMode::Global, SteppingMode::Lts] {
             let req = RunRequest {
-                pipeline: Some(pipeline),
+                stepping: Some(stepping),
                 ..RunRequest::smoke()
             };
             let summary = scenario.run(&req).map_err(|e| {
-                CliError::new(format!("scenario `{}` ({pipeline:?}): {e}", info.name))
+                CliError::new(format!("scenario `{}` ({stepping:?}): {e}", info.name))
             })?;
             if !summary.l2_norm.is_finite() {
                 return Err(CliError::new(format!(
-                    "scenario `{}` ({pipeline:?}): non-finite L2 norm after {} steps",
+                    "scenario `{}` ({stepping:?}): non-finite L2 norm after {} steps",
                     info.name, summary.steps
                 )));
             }
             let _ = writeln!(
                 log,
-                "smoke {:<20} {pipeline:?}: {} steps, L2 norm {:.3e} — ok",
+                "smoke {:<20} {stepping:?}: {} steps, L2 norm {:.3e} — ok",
                 info.name, summary.steps, summary.l2_norm
             );
         }

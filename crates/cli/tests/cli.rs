@@ -1,13 +1,13 @@
 //! CLI parser and driver tests: every user mistake must come back as an
 //! actionable [`CliError`], never a panic; the smoke gate must cover
-//! every registered scenario on both pipelines and the documented
-//! gallery.
+//! every registered scenario under both stepping modes and the
+//! documented gallery.
 
 use aderdg_cli::{
     args_from_config, execute_run, expand_sweep, missing_gallery_sections, parse_args, render_list,
     render_summary, run_sweep, toml, write_receivers_csv, write_series_csv, Command, RunArgs,
 };
-use aderdg_core::engine::PipelineMode;
+use aderdg_core::engine::SteppingMode;
 use aderdg_core::scenario::{RunRequest, ScenarioRegistry};
 use aderdg_core::tune::TuningMode;
 
@@ -24,8 +24,8 @@ fn parses_a_full_run_command() {
         "4",
         "--kernel",
         "aosoa_splitck",
-        "--pipeline",
-        "sharded",
+        "--stepping",
+        "lts",
         "--tuning",
         "model",
         "--cells",
@@ -48,7 +48,7 @@ fn parses_a_full_run_command() {
     assert_eq!(run.scenario, "loh1");
     assert_eq!(run.request.order, Some(4));
     assert_eq!(run.request.kernel.as_deref(), Some("aosoa_splitck"));
-    assert_eq!(run.request.pipeline, Some(PipelineMode::Sharded));
+    assert_eq!(run.request.stepping, Some(SteppingMode::Lts));
     assert_eq!(run.request.tuning, Some(TuningMode::Model));
     assert_eq!(run.request.cells, Some(3));
     assert_eq!(run.request.t_end, Some(0.5));
@@ -74,10 +74,7 @@ fn bad_values_are_actionable_errors() {
             "invalid value `four` for --order",
         ),
         (vec!["--scenario", "x", "--cfl", "fast"], "--cfl"),
-        (
-            vec!["--scenario", "x", "--pipeline", "warp"],
-            "barrier|sharded",
-        ),
+        (vec!["--scenario", "x", "--stepping", "warp"], "global|lts"),
         (
             vec!["--scenario", "x", "--tuning", "lucky"],
             "static|model|probe",
@@ -157,7 +154,7 @@ fn config_file_parses_and_flags_override() {
          [solver]\n\
          order = 4\n\
          kernel = \"generic\"\n\
-         pipeline = barrier\n",
+         stepping = lts\n",
     )
     .unwrap();
     let cmd = parse_args(&args(&["--config", path.to_str().unwrap(), "--order", "5"])).unwrap();
@@ -169,7 +166,7 @@ fn config_file_parses_and_flags_override() {
     assert_eq!(run.request.cells, Some(3));
     assert_eq!(run.request.order, Some(5)); // flag wins over the file
     assert_eq!(run.request.kernel.as_deref(), Some("generic"));
-    assert_eq!(run.request.pipeline, Some(PipelineMode::Barrier));
+    assert_eq!(run.request.stepping, Some(SteppingMode::Lts));
 }
 
 #[test]
@@ -189,7 +186,7 @@ fn config_rejects_unknown_tables_keys_and_bad_values() {
 }
 
 #[test]
-fn smoke_all_covers_every_scenario_and_both_pipelines() {
+fn smoke_all_covers_every_scenario_and_both_stepping_modes() {
     // The real gate CI runs — against the real gallery document.
     let docs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/SCENARIOS.md");
     let mut log = Vec::new();
@@ -198,7 +195,7 @@ fn smoke_all_covers_every_scenario_and_both_pipelines() {
     for name in ScenarioRegistry::global().names() {
         assert!(log.contains(name), "no smoke line for `{name}`");
     }
-    assert!(log.contains("Sharded") && log.contains("Barrier"));
+    assert!(log.contains("Global") && log.contains("Lts"));
 }
 
 #[test]
@@ -412,7 +409,7 @@ fn sweep_runs_every_combination_and_reports_failures() {
         request: RunRequest::smoke(),
         sweep: vec![
             ("kernel".into(), vec!["generic".into(), "splitck".into()]),
-            ("pipeline".into(), vec!["barrier".into(), "sharded".into()]),
+            ("stepping".into(), vec!["global".into(), "lts".into()]),
         ],
         jobs: Some(4),
         ..RunArgs::default()

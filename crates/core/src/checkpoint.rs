@@ -5,7 +5,7 @@
 //! module gives the reproduction the same property. A [`Checkpoint`]
 //! captures everything needed to resume a scenario run bit-identically:
 //! the scenario's registry key, the fully **resolved** solver knobs
-//! (order, kernel, cfl, rule, pipeline, the tuner's block-size pick, …),
+//! (order, kernel, cfl, rule, stepping, the tuner's block-size pick, …),
 //! the run's series so far, and the raw engine state — mesh dimensions,
 //! the padded per-cell DOF array, `time`, `steps` and every receiver's
 //! records.
@@ -40,7 +40,9 @@
 //! Bit-identical resume holds for the deterministic tuning modes
 //! (`static`, `model`): the saved knobs pin the resolved configuration
 //! (including the block size), and the engine's determinism contract
-//! pins step results across thread counts, pool modes and pipelines.
+//! pins step results across thread counts. Checkpoints written while
+//! the engine still had two global step bodies also carry a `pipeline`
+//! knob; [`crate::scenario::RunRequest::set`] accepts and ignores it.
 //! `probe` tuning re-times GEMM backends at restore, so the backend pick
 //! — and with it the last bits — may differ across machines.
 

@@ -2,19 +2,20 @@
 //! solve and corrector (the Rust counterpart of the paper's TBB task
 //! parallelism within one MPI rank).
 //!
-//! Two step pipelines exist, selected by [`EngineConfig::pipeline`]:
+//! One step body runs every configuration: the mesh is partitioned into
+//! contiguous cell shards ([`aderdg_mesh::ShardPlan`]), each face's
+//! Rusanov flux is solved **exactly once** (eq. 5) into a face-indexed
+//! buffer, and per-shard predictor → face-sweep → apply tasks
+//! ([`aderdg_mesh::LtsGraph`]) run on the persistent pool's dependency
+//! scheduler ([`par::run_graph_init`]) with no global
+//! predictor→corrector barrier: a shard's face sweep starts as soon as
+//! its own and its neighbouring shards' predictors finish.
 //!
-//! * [`PipelineMode::Sharded`] (default) — the mesh is partitioned into
-//!   contiguous cell shards ([`aderdg_mesh::ShardPlan`]); each interior
-//!   face's Rusanov flux is solved **exactly once** (eq. 5) into a
-//!   face-indexed buffer, and per-shard predictor → face-sweep → apply
-//!   tasks run on a dependency scheduler ([`par::run_graph_init`]) with
-//!   no global predictor→corrector barrier: a shard's face sweep starts
-//!   as soon as its own and its neighbouring shards' predictors finish.
-//! * [`PipelineMode::Barrier`] — the seed cell-centric loop (every
-//!   interior face solved twice, global barrier between predictor and
-//!   corrector), kept as the hermetic baseline the sharded path is
-//!   pinned against.
+//! [`SteppingMode`] only decides how cells are assigned to dt levels.
+//! Global stepping puts every cell on level 0, so the task graph has one
+//! predict/flux/apply triple per shard; clustered local time stepping
+//! assigns levels from the state's per-cell CFL dt and unrolls a whole
+//! macro cycle of sub-windows into the same graph (`docs/LTS.md`).
 
 use crate::block::{BlockInputs, CellBlock};
 use crate::corrector::{apply_face, apply_volume, CorrectorScratch};
@@ -25,70 +26,22 @@ use crate::registry::KernelRegistry;
 use crate::riemann::{boundary_face, rusanov_face, BoundaryScratch};
 use crate::tune::{tune_plan, TuneReport, TuningMode};
 use aderdg_mesh::{
-    assign_levels, Face, FaceTopo, LtsGraph, LtsTask, Neighbor, ShardPlan, StructuredMesh,
-    MAX_LTS_LEVEL,
+    assign_levels, Face, FaceTopo, LtsGraph, LtsTask, ShardPlan, StructuredMesh, MAX_LTS_LEVEL,
 };
 use aderdg_pde::{LinearPde, PointSource};
 use aderdg_tensor::AlignedVec;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, RwLock};
 
-/// Which step pipeline the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineMode {
-    /// Seed cell-centric loop: every interior face's Riemann problem is
-    /// solved twice (once per adjacent cell) and a global barrier
-    /// separates predictor and corrector. Hermetic baseline.
-    Barrier,
-    /// Face-centric shard pipeline: one Riemann solve per face into a
-    /// face-indexed buffer; per-shard predictor/face-sweep/apply tasks
-    /// chained by a dependency scheduler, no global barrier. Results are
-    /// pinned to the barrier path by `tests/pipeline_equivalence.rs` and
-    /// stay bit-identical across worker-thread counts.
-    Sharded,
-}
-
-impl PipelineMode {
-    /// Parses a specification-file / environment value
-    /// (`barrier` | `sharded`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "barrier" => Some(Self::Barrier),
-            "sharded" => Some(Self::Sharded),
-            _ => None,
-        }
-    }
-
-    /// The process default: `ADERDG_PIPELINE` if set (the CI matrix
-    /// forces both paths through it), else [`PipelineMode::Sharded`].
-    ///
-    /// # Panics
-    /// If `ADERDG_PIPELINE` is set to an unknown value — configuration
-    /// typos should fail loudly, not silently fall back.
-    pub fn default_from_env() -> Self {
-        match std::env::var("ADERDG_PIPELINE") {
-            Ok(v) => Self::parse(&v)
-                // PANIC-OK: configuration typos fail loudly by policy
-                // (see doc comment above).
-                .unwrap_or_else(|| panic!("unknown ADERDG_PIPELINE `{v}` (barrier|sharded)")),
-            Err(_) => Self::Sharded,
-        }
-    }
-
-    /// The specification-file spelling (inverse of [`PipelineMode::parse`]).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Self::Barrier => "barrier",
-            Self::Sharded => "sharded",
-        }
-    }
-}
-
-/// Which time-stepping strategy the engine runs.
+/// Which time-stepping strategy the engine runs. Both run the same
+/// shard task graph; the mode only decides how cells are assigned to dt
+/// levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteppingMode {
-    /// Every cell advances at the one global CFL-stable dt. The
-    /// default: simplest, and the reference the LTS path is pinned
+    /// Every cell advances at the one global CFL-stable dt: every cell
+    /// is on level 0, so the task graph does not depend on the state,
+    /// and [`Engine::max_dt`] recomputes the dt from the state every
+    /// step. The default, and the reference the LTS path is pinned
     /// against.
     Global,
     /// Clustered local time stepping: cells are bucketed into
@@ -194,16 +147,14 @@ impl std::error::Error for DegenerateDt {}
 ///   additionally times real `run_block` calls and ranks GEMM backends
 ///   by measured speed — fastest, but machine-dependent. The decision is
 ///   recorded in [`Engine::tune_report`].
-/// * **`pipeline`** — `sharded` (default; overridable process-wide via
-///   `ADERDG_PIPELINE`) runs the once-per-face shard pipeline: half the
-///   interior Riemann solves and no predictor→corrector barrier. Switch
-///   to `barrier` to reproduce the seed cell-centric loop (hermetic
-///   baselines, A/B timing via the `step_scaling` bench).
-/// * **`shard_size`** — cells per shard of the sharded pipeline. `None`
-///   (default) targets enough shards for pipelining while keeping shard
-///   boundaries aligned to predictor blocks ([`auto_shard_size`]).
-///   Smaller shards expose more overlap, larger shards amortize more
-///   scheduling; the pick never changes results.
+/// * **`shard_size`** — cells per shard of the step's task graph.
+///   `None` (default) targets enough shards for pipelining while
+///   keeping shard boundaries aligned to predictor blocks
+///   ([`auto_shard_size`]). Smaller shards expose more overlap, larger
+///   shards amortize more scheduling; the pick never changes results.
+/// * **`stepping`** — `global` (default; overridable process-wide via
+///   `ADERDG_STEPPING`) steps every cell at the global CFL dt; `lts`
+///   runs clustered local time stepping ([`SteppingMode`]).
 #[derive(Clone, Copy)]
 pub struct EngineConfig {
     /// STP kernel to run, resolved from the [`KernelRegistry`].
@@ -221,14 +172,10 @@ pub struct EngineConfig {
     pub block_size: Option<usize>,
     /// Plan-time tuning strategy for the block size and GEMM backend.
     pub tuning: TuningMode,
-    /// Step pipeline (see [`PipelineMode`]).
-    pub pipeline: PipelineMode,
-    /// Cells per shard of the sharded pipeline (`None` = automatic, see
-    /// [`auto_shard_size`]). Ignored on the barrier path.
+    /// Cells per shard of the step's task graph (`None` = automatic, see
+    /// [`auto_shard_size`]).
     pub shard_size: Option<usize>,
-    /// Time-stepping strategy (see [`SteppingMode`]). Under
-    /// [`SteppingMode::Lts`] the engine always runs the LTS shard graph
-    /// and `pipeline` is ignored.
+    /// Time-stepping strategy (see [`SteppingMode`]).
     pub stepping: SteppingMode,
 }
 
@@ -242,7 +189,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("rule", &self.rule)
             .field("block_size", &self.block_size)
             .field("tuning", &self.tuning)
-            .field("pipeline", &self.pipeline)
             .field("shard_size", &self.shard_size)
             .field("stepping", &self.stepping)
             .finish()
@@ -266,7 +212,6 @@ impl EngineConfig {
             rule: aderdg_quadrature::QuadratureRule::GaussLegendre,
             block_size: None,
             tuning: TuningMode::default(),
-            pipeline: PipelineMode::default_from_env(),
             shard_size: None,
             stepping: SteppingMode::default_from_env(),
         }
@@ -327,13 +272,7 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the step pipeline (builder style).
-    pub fn with_pipeline(mut self, pipeline: PipelineMode) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Fixes the shard size of the sharded pipeline (builder style).
+    /// Fixes the shard size of the step's task graph (builder style).
     ///
     /// # Panics
     /// If `shard_size` is zero.
@@ -381,11 +320,12 @@ pub fn auto_block_size(footprint_bytes: usize) -> usize {
 /// noise.
 pub const SHARD_COUNT_TARGET: usize = 48;
 
-/// The automatic shard size of the sharded pipeline: cells per shard
+/// The automatic shard size of the step's task graph: cells per shard
 /// targeting [`SHARD_COUNT_TARGET`] shards, rounded **up** to a multiple
 /// of the predictor block size so shard boundaries never split a cell
-/// block (the block partition — and therefore every batched kernel's
-/// floating-point result — stays identical to the barrier path's).
+/// block (under global stepping the block partition — and therefore
+/// every batched kernel's floating-point result — stays the one of
+/// blocking the whole mesh at once).
 ///
 /// Deliberately independent of the worker-thread count: the shard
 /// partition must never leak into results, and
@@ -432,8 +372,6 @@ pub struct Engine<P: LinearPde> {
     pub receivers: Vec<Receiver>,
     /// Resolved predictor block size (config override or tuner pick).
     block_size: usize,
-    /// Shard pipeline state (`None` on the barrier path).
-    shards: Option<ShardState>,
     /// What the plan-time tuner decided (block size, GEMM backend) and
     /// the candidates it weighed.
     tune: TuneReport,
@@ -441,17 +379,19 @@ pub struct Engine<P: LinearPde> {
     pub time: f64,
     /// Steps taken.
     pub steps: usize,
-    /// LTS metadata (cluster-aware shard plan, macro task graph, base
-    /// dt), built lazily from the current state's per-cell stable-dt
-    /// field at the first [`Engine::max_dt`] or step under
-    /// [`SteppingMode::Lts`], and invalidated whenever the state is
-    /// replaced wholesale.
+    /// The step schedule (level-aware shard plan, task graph, base dt),
+    /// built lazily at the first [`Engine::max_dt`] or step. Under
+    /// [`SteppingMode::Lts`] it derives from the current state's
+    /// per-cell stable-dt field and is invalidated whenever the state is
+    /// replaced wholesale; under global stepping it never changes.
     lts: OnceLock<LtsMeta>,
-    /// LTS runtime buffers (face-flux storage, sub-window accumulators,
-    /// halo half-window outputs), allocated at the first LTS step.
+    /// Step runtime buffers (face-flux storage, plus sub-window
+    /// accumulators and halo half-window outputs when there are several
+    /// levels), allocated at the first step.
     lts_bufs: Option<LtsBufs>,
     /// Per-cluster `(time, sub_steps)` clocks, indexed by cluster level.
-    /// Empty until the first LTS step; serialized through checkpoints so
+    /// Empty until the first LTS step (always empty under global
+    /// stepping); serialized through checkpoints so
     /// a resumed run continues them exactly.
     lts_clocks: Vec<(f64, u64)>,
 }
@@ -462,7 +402,7 @@ impl<P: LinearPde> std::fmt::Debug for Engine<P> {
             .field("dims", &self.mesh.dims)
             .field("order", &self.config.order)
             .field("kernel", &self.config.kernel.name())
-            .field("pipeline", &self.config.pipeline)
+            .field("stepping", &self.config.stepping)
             .field("block_size", &self.block_size)
             .field("time", &self.time)
             .field("steps", &self.steps)
@@ -470,94 +410,42 @@ impl<P: LinearPde> std::fmt::Debug for Engine<P> {
     }
 }
 
-/// Shard-pipeline state: the partition/face index plus the face-indexed
-/// flux storage and the (static) task dependency graph.
-struct ShardState {
-    /// Shard partition and canonical face enumeration.
-    plan: ShardPlan,
-    /// Per-shard storage for the owned faces' resolved fluxes `F*`
-    /// (`owned_faces × plan.face.len()` doubles each). Locks are only
-    /// ever taken uncontended — the task graph orders the one writer
-    /// (the shard's face sweep) before all readers (the apply tasks).
-    f_star: Vec<RwLock<Vec<f64>>>,
-    /// Unmet-dependency counts of the step's task graph (task ids:
-    /// `Predict(s) = s`, `Flux(s) = ns + s`, `Apply(s) = 2·ns + s`).
-    /// The graph depends only on the shard plan, so it is built once.
-    indegree: Vec<usize>,
-    /// Edges of the task graph: `dependents[t]` are unblocked by `t`.
-    dependents: Vec<Vec<usize>>,
-}
-
-impl ShardState {
-    /// Builds the pipeline state (flux storage + task graph) for a shard
-    /// plan.
-    fn new(splan: ShardPlan, face_len: usize) -> Self {
-        let ns = splan.num_shards();
-        let f_star = (0..ns)
-            .map(|s| RwLock::new(vec![0.0; splan.owned_faces(s).len() * face_len]))
-            .collect();
-        let mut indegree = vec![0usize; 3 * ns];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); 3 * ns];
-        for s in 0..ns {
-            for &d in splan.flux_deps(s) {
-                dependents[d].push(ns + s);
-                indegree[ns + s] += 1;
-            }
-            for &d in splan.apply_deps(s) {
-                dependents[ns + d].push(2 * ns + s);
-                indegree[2 * ns + s] += 1;
-            }
-        }
-        Self {
-            plan: splan,
-            f_star,
-            indegree,
-            dependents,
-        }
-    }
-}
-
-/// Per-worker scratch of the sharded step (one per scheduler worker,
-/// reused across that worker's tasks).
-struct ShardScratch<'a> {
-    stp: Box<dyn StpScratch>,
-    block: CellBlock,
-    sources: Vec<Option<&'a CellSource>>,
-    corr: CorrectorScratch,
-    boundary: BoundaryScratch,
-}
-
-/// Clustered-LTS metadata: the level-aware shard partition, the macro
-/// task graph over it, and the level-0 (finest) sub-step length. Derived
+/// The step schedule: the level-aware shard partition, the macro task
+/// graph over it, and (under LTS) the level-0 sub-step length. Under
+/// global stepping every cell is on level 0; under LTS the levels derive
 /// deterministically from the state the engine held when it was built.
 struct LtsMeta {
     /// Level-aware shard partition (shards are level-uniform).
     plan: ShardPlan,
     /// The macro-cycle task graph (one predict/apply pair per shard per
-    /// sub-window, one flux sweep per shard per owned-face slot).
+    /// sub-window, one flux sweep per shard per owned-face slot; one
+    /// triple per shard when there is a single level).
     graph: LtsGraph,
-    /// Stable dt of the finest cluster — the global CFL dt. `max_dt`
-    /// reports `dt_base · num_slots` so drive loops step whole macro
-    /// cycles.
-    dt_base: f64,
+    /// Under LTS, the stable dt of the finest cluster — the global CFL
+    /// dt when the levels were assigned; `max_dt` reports
+    /// `dt_base · num_slots` so drive loops step whole macro cycles.
+    /// `None` under global stepping, whose dt `max_dt` recomputes from
+    /// the state every step.
+    dt_base: Option<f64>,
 }
 
-/// LTS runtime buffers (separate from [`LtsMeta`] so the metadata can be
+/// Step runtime buffers (separate from [`LtsMeta`] so the metadata can be
 /// built from `&self` in `max_dt` while the buffers are installed later
 /// under `&mut self`).
 struct LtsBufs {
     /// Per-shard F* of the *current* sub-window per owned face,
-    /// overwritten at each re-solve (same layout as the sharded
-    /// pipeline's storage).
+    /// overwritten at each re-solve (`owned_faces × face.len()` doubles
+    /// per shard).
     f_star: Vec<RwLock<Vec<f64>>>,
     /// Per-shard F* accumulated over a coarse window for cadence-
     /// mismatched faces: the sub-window-0 solve overwrites, the
     /// sub-window-1 solve adds, and the coarse cell applies the sum —
     /// so the face flux telescopes exactly against the fine cell's two
-    /// separate applications. Empty vectors when the run has one level.
+    /// separate applications. Empty when the plan has one level.
     f_star_acc: Vec<RwLock<Vec<f64>>>,
     /// Per-shard half-window predictor outputs for cells that border a
-    /// finer face (the sub-window differencing source).
+    /// finer face (the sub-window differencing source). Empty when the
+    /// plan has one level.
     halo: Vec<RwLock<HaloShard>>,
 }
 
@@ -569,6 +457,25 @@ struct HaloShard {
     /// Half-dt outputs, parallel to `cells`, rewritten by each of the
     /// shard's predict tasks.
     half: Vec<StpOutputs>,
+}
+
+/// The halo of shard `s`: its cells that border a finer-cadence face
+/// (none on level 0), each with a half-window output buffer.
+fn halo_shard(plan: &StpPlan, splan: &ShardPlan, s: usize) -> HaloShard {
+    let level = splan.shard_level(s);
+    let range = splan.shard_range(s);
+    let cells: Vec<usize> = range
+        .clone()
+        .filter(|&c| {
+            splan
+                .cell_faces(c)
+                .iter()
+                .any(|&id| splan.face_cadence(id) < level)
+        })
+        .map(|c| c - range.start)
+        .collect();
+    let half = cells.iter().map(|_| StpOutputs::new(plan)).collect();
+    HaloShard { cells, half }
 }
 
 /// Splits a flat per-cell buffer into per-shard mutable slices matching
@@ -613,13 +520,15 @@ fn sub_window_trace(
     }
 }
 
-/// Per-worker scratch of the LTS step: the sharded step's set plus a
-/// per-cell scratch for halo half-window runs (block scratch may be a
-/// different concrete type) and one face-trace temp pair for sub-window
-/// differencing (at most one side of a face is ever coarse).
+/// Per-worker scratch of the step (one per scheduler worker, reused
+/// across that worker's tasks). With several levels it adds a per-cell
+/// scratch for halo half-window runs (block scratch may be a different
+/// concrete type), created at the worker's first halo run, and one
+/// face-trace temp pair for sub-window differencing (at most one side of
+/// a face is ever coarse); both stay empty on single-level plans.
 struct LtsScratch<'a> {
     stp: Box<dyn StpScratch>,
-    cell: Box<dyn StpScratch>,
+    cell: Option<Box<dyn StpScratch>>,
     block: CellBlock,
     sources: Vec<Option<&'a CellSource>>,
     corr: CorrectorScratch,
@@ -667,18 +576,6 @@ impl<P: LinearPde> Engine<P> {
         let outputs = (0..cells).map(|_| StpOutputs::new(&plan)).collect();
         let block_size = tune_report.block_size;
         assert!(block_size >= 1, "block size must be at least 1");
-        let shards = match config.pipeline {
-            PipelineMode::Barrier => None,
-            PipelineMode::Sharded => {
-                let shard_size = config
-                    .shard_size
-                    .unwrap_or_else(|| auto_shard_size(cells, block_size));
-                Some(ShardState::new(
-                    ShardPlan::new(&mesh, shard_size),
-                    plan.face.len(),
-                ))
-            }
-        };
         Self {
             mesh,
             pde,
@@ -690,7 +587,6 @@ impl<P: LinearPde> Engine<P> {
             cell_sources: BTreeMap::new(),
             receivers: Vec::new(),
             block_size,
-            shards,
             tune: tune_report,
             time: 0.0,
             steps: 0,
@@ -714,10 +610,10 @@ impl<P: LinearPde> Engine<P> {
         &self.tune
     }
 
-    /// The shard partition and canonical face index of the sharded
-    /// pipeline (`None` on the barrier path).
+    /// The shard partition and canonical face index the engine steps
+    /// with — always `Some`, the same plan as [`Engine::lts_plan`].
     pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.shards.as_ref().map(|s| &s.plan)
+        Some(self.lts_plan())
     }
 
     /// Initializes every node from a closure over physical coordinates.
@@ -741,8 +637,7 @@ impl<P: LinearPde> Engine<P> {
             }
         });
         // New initial data → new per-cell dt field → new clustering.
-        self.lts = OnceLock::new();
-        self.lts_bufs = None;
+        self.invalidate_levels();
         self.lts_clocks.clear();
     }
 
@@ -845,23 +740,46 @@ impl<P: LinearPde> Engine<P> {
     /// work unchanged. With a single cluster `Lmax = 0` and the value is
     /// bit-identical to the global-stepping dt.
     pub fn max_dt(&self) -> f64 {
-        match self.config.stepping {
-            SteppingMode::Global => self.base_dt(),
-            SteppingMode::Lts => {
-                let meta = self.lts_meta();
-                meta.dt_base * meta.graph.num_slots() as f64
-            }
+        let meta = self.lts_meta();
+        match meta.dt_base {
+            Some(dt_base) => dt_base * meta.graph.num_slots() as f64,
+            None => self.base_dt(),
         }
     }
 
-    /// The LTS metadata, built from the *current* state on first use and
-    /// cached until the state is replaced wholesale ([`Engine::set_initial`],
-    /// [`Engine::restore_state`], [`Engine::cell_state_mut`]).
+    /// The step schedule, built on first use. Under LTS it derives from
+    /// the *current* state and is cached until the state is replaced
+    /// wholesale ([`Engine::set_initial`], [`Engine::restore_state`],
+    /// [`Engine::cell_state_mut`]).
     fn lts_meta(&self) -> &LtsMeta {
         self.lts.get_or_init(|| self.build_lts_meta())
     }
 
+    /// Drops the LTS schedule and its buffers after a wholesale state
+    /// change (the per-cell dt field, and with it the clustering, may
+    /// have moved). Global stepping keeps both: its single-level
+    /// schedule does not depend on the state.
+    fn invalidate_levels(&mut self) {
+        if self.config.stepping == SteppingMode::Lts {
+            self.lts = OnceLock::new();
+            self.lts_bufs = None;
+        }
+    }
+
     fn build_lts_meta(&self) -> LtsMeta {
+        let shard_size = self
+            .config
+            .shard_size
+            .unwrap_or_else(|| auto_shard_size(self.mesh.num_cells(), self.block_size));
+        if self.config.stepping == SteppingMode::Global {
+            let plan = ShardPlan::new(&self.mesh, shard_size);
+            let graph = LtsGraph::build(&plan);
+            return LtsMeta {
+                plan,
+                graph,
+                dt_base: None,
+            };
+        }
         let cell_dt: Vec<f64> = self
             .state
             .iter()
@@ -872,359 +790,54 @@ impl<P: LinearPde> Engine<P> {
         // per-cell rate.
         let dt_base = cell_dt.iter().copied().fold(f64::INFINITY, f64::min);
         let levels = assign_levels(&self.mesh, &cell_dt, MAX_LTS_LEVEL);
-        let shard_size = self
-            .config
-            .shard_size
-            .unwrap_or_else(|| auto_shard_size(self.mesh.num_cells(), self.block_size));
         let plan = ShardPlan::with_levels(&self.mesh, shard_size, &levels);
         let graph = LtsGraph::build(&plan);
         LtsMeta {
             plan,
             graph,
-            dt_base,
+            dt_base: Some(dt_base),
         }
     }
 
     /// Per-cluster `(time, sub_steps)` clocks of the LTS path, indexed
-    /// by cluster level. Empty until the first LTS step; serialized
-    /// through checkpoints so a resumed run continues them exactly.
+    /// by cluster level. Empty until the first LTS step (and always
+    /// empty under global stepping); serialized through checkpoints so a
+    /// resumed run continues them exactly.
     pub fn lts_clocks(&self) -> &[(f64, u64)] {
         &self.lts_clocks
     }
 
-    /// The level-aware shard partition the LTS path steps with (cluster
-    /// levels per shard, per-face cadences). Builds the metadata from
-    /// the current state on first use.
+    /// The level-aware shard partition the engine steps with (cluster
+    /// levels per shard, per-face cadences; every level is 0 under
+    /// global stepping). Under LTS it builds the clustering from the
+    /// current state on first use.
     pub fn lts_plan(&self) -> &ShardPlan {
         &self.lts_meta().plan
     }
 
     /// Advances one time step of length `dt` (one whole macro cycle
-    /// under [`SteppingMode::Lts`], which ignores the pipeline setting
-    /// and always runs the LTS shard graph).
+    /// under [`SteppingMode::Lts`]) on the shard task graph.
     pub fn step(&mut self, dt: f64) {
         // Source amplitude derivatives are refreshed once per (macro)
-        // step at `t_n` — exact for the degenerate single-cluster case;
-        // for time-dependent sources under real sub-cycling this is the
-        // documented approximation (see docs/LTS.md).
+        // step at `t_n` — exact with a single cluster; with two or more
+        // clusters this is first order in time for time-dependent
+        // sources (docs/LTS.md, "Point sources").
         self.refresh_source_derivs();
-        match (self.config.stepping, self.config.pipeline) {
-            (SteppingMode::Lts, _) => {
-                self.prepare_lts();
-                self.step_lts(dt);
-            }
-            (SteppingMode::Global, PipelineMode::Barrier) => self.step_barrier(dt),
-            (SteppingMode::Global, PipelineMode::Sharded) => self.step_sharded(dt),
-        }
+        self.prepare_lts();
+        self.step_lts(dt);
         self.time += dt;
         self.steps += 1;
         self.record_receivers();
     }
 
-    /// The seed cell-centric step: block predictor over all cells, a
-    /// global barrier, then a per-cell corrector that re-solves every
-    /// interior face from both adjacent cells (`6 · cells` Riemann solves
-    /// per step).
-    fn step_barrier(&mut self, dt: f64) {
-        let plan = &self.plan;
-        let pde = &self.pde;
-        let kernel = self.config.kernel;
-        let cell_sources = &self.cell_sources;
-
-        // 1. Predictor over cell blocks (element-local, embarrassingly
-        //    parallel — the paper's dominant kernel). Contiguous cells
-        //    are staged into a per-thread CellBlock and fed through the
-        //    kernel's block entry point, so one operator load serves the
-        //    whole block; kernels without a real block implementation
-        //    fall back to their per-cell path inside `run_block`.
-        let state = &self.state;
-        let bsize = self.block_size;
-        let mut blocks: Vec<&mut [StpOutputs]> = self.outputs.chunks_mut(bsize).collect();
-        par::for_each_mut_init(
-            &mut blocks,
-            || {
-                (
-                    kernel.make_block_scratch(plan, bsize),
-                    CellBlock::new(plan, bsize),
-                    Vec::with_capacity(bsize),
-                )
-            },
-            |(scratch, block, sources), bi, outs| {
-                let base = bi * bsize;
-                block.clear();
-                for i in 0..outs.len() {
-                    block.push(&state[base + i]);
-                }
-                sources.clear();
-                sources.extend((0..outs.len()).map(|i| cell_sources.get(&(base + i))));
-                kernel.run_block(
-                    plan,
-                    pde,
-                    scratch.as_mut(),
-                    &BlockInputs::new(block, dt, sources),
-                    outs,
-                );
-            },
-        );
-
-        // 2. Corrector: volume + Riemann face corrections.
-        let outputs = &self.outputs;
-        let mesh = &self.mesh;
-        par::for_each_mut_init(
-            &mut self.state,
-            || {
-                (
-                    CorrectorScratch::new(plan),
-                    BoundaryScratch::new(plan),
-                    vec![0.0f64; plan.face.len()],
-                )
-            },
-            |(corr, bscratch, f_star), c, q| {
-                let out = &outputs[c];
-                apply_volume(plan, pde, corr, out, q);
-                for face in Face::ALL {
-                    let d = face.dim;
-                    let side = face.side;
-                    let fi = face.index();
-                    match mesh.neighbor(c, face) {
-                        Neighbor::Cell(nb) => {
-                            let nb_out = &outputs[nb];
-                            let of = face.opposite().index();
-                            if side == 0 {
-                                // Neighbour is the left state.
-                                rusanov_face(
-                                    plan,
-                                    pde,
-                                    d,
-                                    &nb_out.qface[of],
-                                    &nb_out.fface[of],
-                                    &out.qface[fi],
-                                    &out.fface[fi],
-                                    f_star,
-                                );
-                            } else {
-                                rusanov_face(
-                                    plan,
-                                    pde,
-                                    d,
-                                    &out.qface[fi],
-                                    &out.fface[fi],
-                                    &nb_out.qface[of],
-                                    &nb_out.fface[of],
-                                    f_star,
-                                );
-                            }
-                        }
-                        Neighbor::Boundary(kind) => {
-                            boundary_face(
-                                plan,
-                                pde,
-                                d,
-                                side,
-                                kind,
-                                &out.qface[fi],
-                                &out.fface[fi],
-                                bscratch,
-                                f_star,
-                            );
-                        }
-                    }
-                    apply_face(plan, d, side, f_star, &out.fface[fi], q);
-                }
-            },
-        );
-    }
-
-    /// The face-centric shard pipeline. Three tasks per shard — predictor,
-    /// once-per-face flux sweep over the shard's *owned* faces, and
-    /// volume + face application — run on the persistent work-stealing
-    /// pool's graph executor ([`par::run_graph_init`]): a shard's sweep
-    /// starts as soon as its own and its face-neighbours' predictors are
-    /// done, with no global barrier, and each finished task pushes the
-    /// dependents it unlocks onto the finishing worker's own deque.
-    ///
-    /// Determinism: every face flux is computed exactly once (by one
-    /// task, from fixed predictor outputs) into the face-indexed buffer,
-    /// and each cell applies volume + its six faces in the same fixed
-    /// order as the barrier path — so results are independent of the
-    /// schedule and bit-identical across worker-thread counts. All locks
-    /// below are taken uncontended; the task-graph edges (with `AcqRel`
-    /// ready-counters) order the single writer of each buffer before its
-    /// readers.
-    fn step_sharded(&mut self, dt: f64) {
-        let plan = &self.plan;
-        let pde = &self.pde;
-        let kernel = self.config.kernel;
-        let bsize = self.block_size;
-        let cell_sources = &self.cell_sources;
-        // PANIC-OK: internal invariant — `step` dispatches here only in
-        // sharded mode, which builds the state at construction.
-        let shard_state = self.shards.as_ref().expect("sharded pipeline state");
-        let splan = &shard_state.plan;
-        let ns = splan.num_shards();
-        let shard_size = splan.shard_size();
-        let face_len = plan.face.len();
-
-        // Per-shard views over the flat engine buffers. The chunking
-        // matches `ShardPlan::shard_range` exactly.
-        let out_shards: Vec<RwLock<&mut [StpOutputs]>> = self
-            .outputs
-            .chunks_mut(shard_size)
-            .map(RwLock::new)
-            .collect();
-        let state_shards: Vec<Mutex<&mut [AlignedVec]>> =
-            self.state.chunks_mut(shard_size).map(Mutex::new).collect();
-        let f_star = &shard_state.f_star;
-
-        // Task ids: Predict(s) = s, Flux(s) = ns + s, Apply(s) = 2·ns + s;
-        // the graph is static and precomputed in ShardState::new.
-        par::run_graph_init(
-            &shard_state.indegree,
-            &shard_state.dependents,
-            || ShardScratch {
-                stp: kernel.make_block_scratch(plan, bsize),
-                block: CellBlock::new(plan, bsize),
-                sources: Vec::with_capacity(bsize),
-                corr: CorrectorScratch::new(plan),
-                boundary: BoundaryScratch::new(plan),
-            },
-            |ws, task| {
-                let (kind, s) = (task / ns, task % ns);
-                let range = splan.shard_range(s);
-                match kind {
-                    // Predictor over the shard's cells, in predictor
-                    // blocks exactly like the barrier path.
-                    0 => {
-                        // PANIC-OK: lock poisoning means a sibling task
-                        // panicked; cascading into the batch abort is
-                        // correct (×7 in this function).
-                        let state = state_shards[s].lock().unwrap();
-                        let mut outs = out_shards[s].write().unwrap();
-                        for (bi, chunk) in outs.chunks_mut(bsize).enumerate() {
-                            let local = bi * bsize;
-                            ws.block.clear();
-                            for i in 0..chunk.len() {
-                                ws.block.push(&state[local + i]);
-                            }
-                            ws.sources.clear();
-                            ws.sources.extend(
-                                (0..chunk.len())
-                                    .map(|i| cell_sources.get(&(range.start + local + i))),
-                            );
-                            kernel.run_block(
-                                plan,
-                                pde,
-                                ws.stp.as_mut(),
-                                &BlockInputs::new(&ws.block, dt, &ws.sources),
-                                chunk,
-                            );
-                        }
-                    }
-                    // Once-per-face flux sweep over the shard's owned
-                    // faces, into the shard's dense F* segment.
-                    1 => {
-                        let guards: Vec<_> = splan
-                            .flux_deps(s)
-                            .iter()
-                            // PANIC-OK: poisoning cascades (see above).
-                            .map(|&t| (t, out_shards[t].read().unwrap()))
-                            .collect();
-                        let out_of = |cell: usize| {
-                            let t = splan.shard_of(cell);
-                            &dep_guard(&guards, t)[cell - splan.shard_range(t).start]
-                        };
-                        // PANIC-OK: poisoning cascades (see above).
-                        let mut fs = f_star[s].write().unwrap();
-                        for (i, id) in splan.owned_faces(s).enumerate() {
-                            let dst = &mut fs[i * face_len..(i + 1) * face_len];
-                            match splan.face(id) {
-                                FaceTopo::Interior { dim, lower, upper } => {
-                                    let lo = out_of(lower);
-                                    let up = out_of(upper);
-                                    // Lower cell's upper trace is the left
-                                    // state — same convention as the
-                                    // barrier path, so F* is bit-identical.
-                                    rusanov_face(
-                                        plan,
-                                        pde,
-                                        dim,
-                                        &lo.qface[2 * dim + 1],
-                                        &lo.fface[2 * dim + 1],
-                                        &up.qface[2 * dim],
-                                        &up.fface[2 * dim],
-                                        dst,
-                                    );
-                                }
-                                FaceTopo::Boundary {
-                                    dim,
-                                    cell,
-                                    side,
-                                    kind,
-                                } => {
-                                    let out = out_of(cell);
-                                    let fi = 2 * dim + side;
-                                    boundary_face(
-                                        plan,
-                                        pde,
-                                        dim,
-                                        side,
-                                        kind,
-                                        &out.qface[fi],
-                                        &out.fface[fi],
-                                        &mut ws.boundary,
-                                        dst,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    // Volume + six face corrections per cell, reading F*
-                    // from the owning shards' segments.
-                    _ => {
-                        // PANIC-OK: poisoning cascades (see above).
-                        let outs = out_shards[s].read().unwrap();
-                        let fguards: Vec<_> = splan
-                            .apply_deps(s)
-                            .iter()
-                            // PANIC-OK: poisoning cascades (see above).
-                            .map(|&t| (t, f_star[t].read().unwrap()))
-                            .collect();
-                        // PANIC-OK: poisoning cascades (see above).
-                        let mut state = state_shards[s].lock().unwrap();
-                        for (i, q) in state.iter_mut().enumerate() {
-                            let c = range.start + i;
-                            let out = &outs[i];
-                            apply_volume(plan, pde, &mut ws.corr, out, q);
-                            for face in Face::ALL {
-                                let id = splan.cell_faces(c)[face.index()];
-                                let owner = splan.face_owner(id);
-                                let seg = dep_guard(&fguards, owner);
-                                let local = id - splan.owned_faces(owner).start;
-                                let fstar = &seg[local * face_len..(local + 1) * face_len];
-                                apply_face(
-                                    plan,
-                                    face.dim,
-                                    face.side,
-                                    fstar,
-                                    &out.fface[face.index()],
-                                    q,
-                                );
-                            }
-                        }
-                    }
-                }
-            },
-        );
-    }
-
-    /// Ensures the LTS metadata, runtime buffers and per-cluster clocks
-    /// exist for the current state.
+    /// Ensures the step schedule, runtime buffers and (under LTS) the
+    /// per-cluster clocks exist for the current state.
     fn prepare_lts(&mut self) {
         self.lts_meta();
         // PANIC-OK: internal invariant — just built above.
         let meta = self.lts.get().expect("LTS metadata built");
         let num_levels = meta.plan.num_levels();
-        if self.lts_clocks.len() != num_levels {
+        if self.config.stepping == SteppingMode::Lts && self.lts_clocks.len() != num_levels {
             self.lts_clocks = vec![(self.time, 0); num_levels];
         }
         if self.lts_bufs.is_some() {
@@ -1232,56 +845,34 @@ impl<P: LinearPde> Engine<P> {
         }
         let plan = &self.plan;
         let splan = &meta.plan;
-        let face_len = plan.face.len();
         let ns = splan.num_shards();
-        let multi = num_levels > 1;
-        let f_star = (0..ns)
-            .map(|s| RwLock::new(vec![0.0; splan.owned_faces(s).len() * face_len]))
-            .collect();
+        let flux_store = || -> Vec<RwLock<Vec<f64>>> {
+            (0..ns)
+                .map(|s| RwLock::new(vec![0.0; splan.owned_faces(s).len() * plan.face.len()]))
+                .collect()
+        };
         // The accumulator and halo buffers only exist when clusters
-        // actually differ — the degenerate single-cluster path allocates
-        // nothing beyond the sharded pipeline's storage.
-        let f_star_acc = (0..ns)
-            .map(|s| {
-                let len = if multi {
-                    splan.owned_faces(s).len() * face_len
-                } else {
-                    0
-                };
-                RwLock::new(vec![0.0; len])
-            })
-            .collect();
-        let halo = (0..ns)
-            .map(|s| {
-                let level = splan.shard_level(s);
-                let range = splan.shard_range(s);
-                let mut cells = Vec::new();
-                if multi && level > 0 {
-                    for c in range.clone() {
-                        let finer = splan
-                            .cell_faces(c)
-                            .iter()
-                            .any(|&id| splan.face_cadence(id) < level);
-                        if finer {
-                            cells.push(c - range.start);
-                        }
-                    }
-                }
-                let half = cells.iter().map(|_| StpOutputs::new(plan)).collect();
-                RwLock::new(HaloShard { cells, half })
-            })
-            .collect();
+        // actually differ — a single-level plan allocates nothing beyond
+        // the face-flux storage.
+        let multi = num_levels > 1;
         self.lts_bufs = Some(LtsBufs {
-            f_star,
-            f_star_acc,
-            halo,
+            f_star: flux_store(),
+            f_star_acc: if multi { flux_store() } else { Vec::new() },
+            halo: if multi {
+                (0..ns)
+                    .map(|s| RwLock::new(halo_shard(plan, splan, s)))
+                    .collect()
+            } else {
+                Vec::new()
+            },
         });
     }
 
-    /// One **macro cycle** of clustered local time stepping: `2^Lmax`
-    /// level-0 sub-windows, scheduled as the sub-window-resolved
-    /// predict / flux-sweep / apply task graph ([`LtsGraph`]) on the
-    /// persistent pool. `dt` is the macro step; a level-`L` cluster
+    /// The step body: one **macro cycle** of `2^Lmax` level-0
+    /// sub-windows, scheduled as the sub-window-resolved predict /
+    /// flux-sweep / apply task graph ([`LtsGraph`]) on the persistent
+    /// pool (one sub-window, the whole step, under global stepping).
+    /// `dt` is the macro step; a level-`L` cluster
     /// takes `2^(Lmax−L)` sub-steps of `dt · 2^L / 2^Lmax` each (exact
     /// f64 scalings, so a clipped macro step scales all clusters alike).
     ///
@@ -1294,9 +885,10 @@ impl<P: LinearPde> Engine<P> {
     /// Determinism: every face flux is computed exactly once per due
     /// slot by one task from fixed predictor outputs, and every
     /// application runs in a fixed order — results are bit-identical
-    /// across thread counts and pool modes. With a single cluster the
-    /// graph degenerates to one predict/flux/apply per shard at the full
-    /// dt and the computation is bitwise the sharded step's.
+    /// across thread counts. With a single level the graph is one
+    /// predict/flux/apply triple per shard at the full dt: a shard's
+    /// sweep starts as soon as its own and its face-neighbours'
+    /// predictors are done, with no global barrier.
     ///
     /// ORDERING: most locks below are uncontended — every pair of
     /// conflicting accesses to `out`, `state` and `halo` is ordered by
@@ -1344,20 +936,23 @@ impl<P: LinearPde> Engine<P> {
         par::run_graph_init(
             graph.indegree(),
             graph.dependents(),
-            || LtsScratch {
-                stp: kernel.make_block_scratch(plan, bsize),
-                cell: kernel.make_scratch(plan),
-                block: CellBlock::new(plan, bsize),
-                sources: Vec::with_capacity(bsize),
-                corr: CorrectorScratch::new(plan),
-                boundary: BoundaryScratch::new(plan),
-                qtmp: vec![0.0; face_len],
-                ftmp: vec![0.0; face_len],
+            || {
+                let trace_len = if multi { face_len } else { 0 };
+                LtsScratch {
+                    stp: kernel.make_block_scratch(plan, bsize),
+                    cell: None,
+                    block: CellBlock::new(plan, bsize),
+                    sources: Vec::with_capacity(bsize),
+                    corr: CorrectorScratch::new(plan),
+                    boundary: BoundaryScratch::new(plan),
+                    qtmp: vec![0.0; trace_len],
+                    ftmp: vec![0.0; trace_len],
+                }
             },
             |ws, task| match graph.task(task) {
                 // Predictor over the shard's cells at the cluster's own
-                // sub-step, in predictor blocks exactly like the sharded
-                // path, plus half-window runs for halo cells.
+                // sub-step, in predictor blocks, plus half-window runs
+                // for halo cells.
                 LtsTask::Predict { shard: s, .. } => {
                     let level = splan.shard_level(s);
                     let dt_s = dt_base * (1u64 << level) as f64;
@@ -1386,21 +981,25 @@ impl<P: LinearPde> Engine<P> {
                             chunk,
                         );
                     }
-                    // PANIC-OK: poisoning cascades (see above).
-                    let mut halo = halo_shards[s].write().unwrap();
-                    let HaloShard { cells, half } = &mut *halo;
-                    for (hi, &local) in cells.iter().enumerate() {
-                        kernel.run(
-                            plan,
-                            pde,
-                            ws.cell.as_mut(),
-                            &StpInputs {
-                                q0: &state[local][..],
-                                dt: 0.5 * dt_s,
-                                source: cell_sources.get(&(range.start + local)),
-                            },
-                            &mut half[hi],
-                        );
+                    // Single-level plans have no halo.
+                    if let Some(halo) = halo_shards.get(s) {
+                        // PANIC-OK: poisoning cascades (see above).
+                        let mut halo = halo.write().unwrap();
+                        let HaloShard { cells, half } = &mut *halo;
+                        for (hi, &local) in cells.iter().enumerate() {
+                            let scratch = ws.cell.get_or_insert_with(|| kernel.make_scratch(plan));
+                            kernel.run(
+                                plan,
+                                pde,
+                                scratch.as_mut(),
+                                &StpInputs {
+                                    q0: &state[local][..],
+                                    dt: 0.5 * dt_s,
+                                    source: cell_sources.get(&(range.start + local)),
+                                },
+                                &mut half[hi],
+                            );
+                        }
                     }
                 }
                 // Flux sweep over the shard's owned faces *due at this
@@ -1435,11 +1034,14 @@ impl<P: LinearPde> Engine<P> {
                         // PANIC-OK: poisoning cascades (see above).
                         .map(|&t| (t, out_shards[t].read().unwrap()))
                         .collect();
-                    let hguards: Vec<_> = deps
-                        .iter()
-                        // PANIC-OK: poisoning cascades (see above).
-                        .map(|&t| (t, halo_shards[t].read().unwrap()))
-                        .collect();
+                    let hguards: Vec<_> = if multi {
+                        deps.iter()
+                            // PANIC-OK: poisoning cascades (see above).
+                            .map(|&t| (t, halo_shards[t].read().unwrap()))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
                     // Lock hierarchy: own f_star, then own f_star_acc
                     // (see the ORDERING note in the doc comment).
                     // PANIC-OK: poisoning cascades (see above).
@@ -1468,11 +1070,9 @@ impl<P: LinearPde> Engine<P> {
                                 let lo_mis = (splan.shard_level(ls) as usize) > c;
                                 let up_mis = (splan.shard_level(us) as usize) > c;
                                 // Lower cell's upper trace is the left
-                                // state — same convention as the sharded
-                                // path, so F* is bit-identical in the
-                                // degenerate case. The face cadence is
-                                // the *min* adjacent level, so at most
-                                // one side is coarse.
+                                // state. The face cadence is the *min*
+                                // adjacent level, so at most one side is
+                                // coarse.
                                 let fl = 2 * dim + 1;
                                 let fu = 2 * dim;
                                 if lo_mis {
@@ -1569,14 +1169,8 @@ impl<P: LinearPde> Engine<P> {
                     let range = splan.shard_range(s);
                     // PANIC-OK: poisoning cascades (see above).
                     let outs = out_shards[s].read().unwrap();
-                    let mut owners: Vec<usize> = Vec::new();
-                    for c in range.clone() {
-                        for &id in splan.cell_faces(c) {
-                            owners.push(splan.face_owner(id));
-                        }
-                    }
-                    owners.sort_unstable();
-                    owners.dedup();
+                    // The owners of every face the shard's cells touch.
+                    let owners = splan.apply_deps(s);
                     // Lock hierarchy: every f_star guard (ascending),
                     // then every f_star_acc guard (ascending) — see the
                     // ORDERING note in the doc comment.
@@ -1785,8 +1379,7 @@ impl<P: LinearPde> Engine<P> {
         // Rebuild the clustering from the restored state (deterministic,
         // so a resumed LTS run reproduces the saved run's meta exactly);
         // the per-cluster clocks continue from the checkpoint.
-        self.lts = OnceLock::new();
-        self.lts_bufs = None;
+        self.invalidate_levels();
         self.lts_clocks = s.lts_clocks.clone();
         Ok(())
     }
@@ -1963,8 +1556,7 @@ impl<P: LinearPde> Engine<P> {
     /// Invalidates the cached LTS clustering — state pokes can change
     /// the per-cell dt field it was derived from.
     pub fn cell_state_mut(&mut self, cell: usize) -> &mut [f64] {
-        self.lts = OnceLock::new();
-        self.lts_bufs = None;
+        self.invalidate_levels();
         &mut self.state[cell]
     }
 }

@@ -36,8 +36,7 @@ pub mod tune;
 pub use block::{BlockInputs, CellBlock};
 pub use checkpoint::{Checkpoint, CheckpointError, EngineState};
 pub use engine::{
-    auto_block_size, auto_shard_size, DegenerateDt, Engine, EngineConfig, PipelineMode, Receiver,
-    SteppingMode,
+    auto_block_size, auto_shard_size, DegenerateDt, Engine, EngineConfig, Receiver, SteppingMode,
 };
 pub use jobs::{Job, JobQueue, JobStatus};
 pub use kernels::{StpInputs, StpKernel, StpOutputs, StpScratch};

@@ -26,7 +26,7 @@
 //! ```
 
 use crate::checkpoint::Checkpoint;
-use crate::engine::{Engine, EngineConfig, PipelineMode, SteppingMode};
+use crate::engine::{Engine, EngineConfig, SteppingMode};
 use crate::registry::KernelRegistry;
 use crate::spec::SolverSpec;
 use crate::tune::TuningMode;
@@ -109,8 +109,6 @@ pub struct RunRequest {
     pub block_size: Option<Option<usize>>,
     /// Tuning-mode override.
     pub tuning: Option<TuningMode>,
-    /// Pipeline override.
-    pub pipeline: Option<PipelineMode>,
     /// Shard size override (`Some(None)` = force `auto`).
     pub shard_size: Option<Option<usize>>,
     /// Time-stepping strategy override (`global` | `lts`).
@@ -198,8 +196,14 @@ impl RunRequest {
             "tuning" => {
                 self.tuning = Some(TuningMode::parse(value).ok_or(bad("static|model|probe"))?)
             }
+            // Accepted and ignored: checkpoints written while the engine
+            // had a barrier and a sharded global step pin `pipeline` in
+            // their knobs. The value is still checked, so a typo stays
+            // an error.
             "pipeline" => {
-                self.pipeline = Some(PipelineMode::parse(value).ok_or(bad("barrier|sharded"))?)
+                if !matches!(value, "barrier" | "sharded") {
+                    return Err(bad("barrier|sharded"));
+                }
             }
             "shard_size" => {
                 self.shard_size = Some(
@@ -236,7 +240,6 @@ impl RunRequest {
         self.rule = Some(spec.rule);
         self.block_size = Some(spec.block_size);
         self.tuning = Some(spec.tuning);
-        self.pipeline = Some(spec.pipeline);
         self.shard_size = Some(spec.shard_size);
         self.stepping = Some(spec.stepping);
         self
@@ -373,8 +376,6 @@ pub struct RunSummary {
     pub num_cells: usize,
     /// Kernel registry key the run used.
     pub kernel: &'static str,
-    /// Step pipeline the run used.
-    pub pipeline: PipelineMode,
     /// Time-stepping strategy the run used.
     pub stepping: SteppingMode,
     /// Resolved predictor block size (tuner pick or override).
@@ -603,7 +604,8 @@ pub fn resolve(info: &ScenarioInfo, req: &RunRequest) -> Result<Resolved, Scenar
     let mut fixed_steps = None;
     if req.smoke {
         // Tiny and fast, whatever the defaults say: CI runs every
-        // registered scenario through this path on both pipelines.
+        // registered scenario through this path under both stepping
+        // modes.
         // Explicit run-shape overrides would be silently discarded here,
         // so they are conflicts, not no-ops.
         if req.cells.is_some() {
@@ -643,9 +645,6 @@ pub fn resolve(info: &ScenarioInfo, req: &RunRequest) -> Result<Resolved, Scenar
     }
     if let Some(t) = req.tuning {
         config.tuning = t;
-    }
-    if let Some(p) = req.pipeline {
-        config.pipeline = p;
     }
     if let Some(s) = req.shard_size {
         if s == Some(0) {
@@ -817,7 +816,7 @@ where
     // Wall time accumulates around the stepping only: the per-checkpoint
     // norm/error evaluations are diagnostics, and including them would
     // deflate `cell_updates_per_second` — the throughput number kernels
-    // and pipelines are compared by.
+    // and stepping modes are compared by.
     let mut wall_seconds = 0.0;
     let mut paused = false;
     match r.fixed_steps {
@@ -911,7 +910,6 @@ where
         cells: dims,
         num_cells,
         kernel: engine.config.kernel.name(),
-        pipeline: engine.config.pipeline,
         stepping: engine.config.stepping,
         block_size: engine.block_size(),
         backend: tune.backend,
@@ -947,8 +945,8 @@ where
 /// The fully resolved knob set a checkpoint stores: replayed through
 /// [`RunRequest::set`], these rebuild the exact engine configuration —
 /// the tuner's block-size pick is pinned as an explicit integer, the
-/// pipeline is pinned against `ADERDG_PIPELINE` drift between save and
-/// resume, and the SIMD width is pinned so the padded state layout
+/// stepping mode is pinned against `ADERDG_STEPPING` drift between save
+/// and resume, and the SIMD width is pinned so the padded state layout
 /// survives a move to a different host.
 fn checkpoint_knobs<P: LinearPde>(
     engine: &Engine<P>,
@@ -965,9 +963,6 @@ fn checkpoint_knobs<P: LinearPde>(
         ("rule".into(), crate::spec::rule_name(c.rule).into()),
         ("block_size".into(), engine.block_size().to_string()),
         ("tuning".into(), c.tuning.as_str().into()),
-        ("pipeline".into(), c.pipeline.as_str().into()),
-        // Pinned against `ADERDG_STEPPING` drift between save and
-        // resume, like the pipeline.
         ("stepping".into(), c.stepping.as_str().into()),
     ];
     if let Some(s) = c.shard_size {
@@ -1115,6 +1110,19 @@ mod tests {
         assert_eq!(r.config.kernel.name(), "aosoa_splitck");
         assert_eq!(r.config.cfl, 0.3);
         assert_eq!(r.config.block_size, Some(4));
+    }
+
+    #[test]
+    fn set_accepts_and_ignores_the_pipeline_key_of_old_checkpoints() {
+        for value in ["barrier", "sharded"] {
+            let mut req = RunRequest::new();
+            assert_eq!(req.set("pipeline", value), Ok(true));
+            let r = resolve(&info(), &req).unwrap();
+            let plain = resolve(&info(), &RunRequest::new()).unwrap();
+            assert_eq!(format!("{:?}", r.config), format!("{:?}", plain.config));
+        }
+        let e = RunRequest::new().set("pipeline", "warp").unwrap_err();
+        assert_eq!(e.expected, "barrier|sharded");
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! cfl        = 0.4
 //! block_size = auto
 //! tuning     = model
-//! pipeline   = sharded
+//! stepping   = global
 //! shard_size = auto
 //! ```
 
-use crate::engine::{EngineConfig, PipelineMode, SteppingMode};
+use crate::engine::{EngineConfig, SteppingMode};
 use crate::kernels::StpKernel;
 use crate::registry::KernelRegistry;
 use crate::tune::TuningMode;
@@ -120,14 +120,8 @@ pub struct SolverSpec {
     /// the hermetic choice for CI; `probe` times real kernels on the
     /// host.
     pub tuning: TuningMode,
-    /// Step pipeline (`barrier` | `sharded`; defaults to the process
-    /// default, i.e. `ADERDG_PIPELINE` or `sharded`). `sharded` solves
-    /// each interior face's Riemann problem once and pipelines shards
-    /// with no global barrier; `barrier` is the seed cell-centric
-    /// baseline.
-    pub pipeline: PipelineMode,
-    /// Cells per shard of the sharded pipeline (`None` = automatic, spec
-    /// value `auto`).
+    /// Cells per shard of the step's task graph (`None` = automatic,
+    /// spec value `auto`).
     pub shard_size: Option<usize>,
     /// Time-stepping strategy (`global` | `lts`; defaults to the process
     /// default, i.e. `ADERDG_STEPPING` or `global`). `lts` runs
@@ -146,7 +140,6 @@ impl std::fmt::Debug for SolverSpec {
             .field("cfl", &self.cfl)
             .field("block_size", &self.block_size)
             .field("tuning", &self.tuning)
-            .field("pipeline", &self.pipeline)
             .field("shard_size", &self.shard_size)
             .field("stepping", &self.stepping)
             .finish()
@@ -164,7 +157,6 @@ impl PartialEq for SolverSpec {
             && self.cfl == other.cfl
             && self.block_size == other.block_size
             && self.tuning == other.tuning
-            && self.pipeline == other.pipeline
             && self.shard_size == other.shard_size
             && self.stepping == other.stepping
     }
@@ -184,7 +176,6 @@ impl Default for SolverSpec {
             cfl: 0.4,
             block_size: None,
             tuning: TuningMode::default(),
-            pipeline: PipelineMode::default_from_env(),
             shard_size: None,
             stepping: SteppingMode::default_from_env(),
         }
@@ -257,11 +248,6 @@ impl SolverSpec {
                         err(format!("unknown tuning `{value}` (static|model|probe)"))
                     })?;
                 }
-                "pipeline" => {
-                    spec.pipeline = PipelineMode::parse(value).ok_or_else(|| {
-                        err(format!("unknown pipeline `{value}` (barrier|sharded)"))
-                    })?;
-                }
                 "shard_size" => {
                     spec.shard_size = parse_auto_size(value).ok_or_else(|| {
                         err(format!(
@@ -305,7 +291,6 @@ impl SolverSpec {
         cfg.cfl = self.cfl;
         cfg.block_size = self.block_size;
         cfg.tuning = self.tuning;
-        cfg.pipeline = self.pipeline;
         cfg.shard_size = self.shard_size;
         cfg.stepping = self.stepping;
         cfg
@@ -355,20 +340,6 @@ mod tests {
         }
         let e = SolverSpec::parse("tuning = lucky\n").unwrap_err();
         assert!(e.message.contains("static|model|probe"));
-    }
-
-    #[test]
-    fn pipeline_parses_and_rejects_unknown() {
-        for (text, mode) in [
-            ("pipeline = barrier\n", PipelineMode::Barrier),
-            ("pipeline = sharded\n", PipelineMode::Sharded),
-        ] {
-            let spec = SolverSpec::parse(text).unwrap();
-            assert_eq!(spec.pipeline, mode);
-            assert_eq!(spec.engine_config().pipeline, mode);
-        }
-        let e = SolverSpec::parse("pipeline = warp\n").unwrap_err();
-        assert!(e.message.contains("barrier|sharded"));
     }
 
     #[test]

@@ -154,7 +154,7 @@ pub enum LtsTask {
 /// The static task graph of one LTS macro cycle over a level-aware
 /// [`ShardPlan`]. With a single cluster (`num_levels() == 1`) it
 /// degenerates to exactly one predict/flux/apply task per shard — the
-/// same schedule as the global-dt sharded pipeline.
+/// schedule of a global-dt engine step.
 #[derive(Debug, Clone)]
 pub struct LtsGraph {
     /// Base sub-steps (`2^Lmax`) per macro cycle.

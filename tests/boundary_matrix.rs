@@ -1,6 +1,6 @@
 //! Boundary-condition coverage matrix: for every PDE system, periodic
-//! and reflective (wall) boundaries through the **sharded once-per-face
-//! pipeline** must conserve — or correctly reflect — the system's
+//! and reflective (wall) boundaries through the **once-per-face shard
+//! step** must conserve — or correctly reflect — the system's
 //! invariants.
 //!
 //! The discrete scheme is conservative: summing the corrector update
@@ -30,7 +30,7 @@
 //! step (and the non-conserved rows visibly drift, keeping the test
 //! non-vacuous).
 
-use aderdg::core::{Engine, EngineConfig, PipelineMode, SteppingMode};
+use aderdg::core::{Engine, EngineConfig, SteppingMode};
 use aderdg::mesh::{BoundaryKind, StructuredMesh};
 use aderdg::pde::{
     acoustic, elastic, maxwell, swe, Acoustic, AdvectionSystem, Elastic, LinearPde, LinearizedSwe,
@@ -52,7 +52,7 @@ fn run<P: LinearPde>(
     init: impl Fn([f64; 3], &mut [f64]) + Sync,
 ) -> (Vec<f64>, Vec<f64>, f64, f64) {
     let mesh = StructuredMesh::new([3, 3, 3], [0.0; 3], [1.0; 3], [boundary; 3]);
-    let config = EngineConfig::new(3).with_pipeline(PipelineMode::Sharded);
+    let config = EngineConfig::new(3);
     let mut engine = Engine::new(mesh, pde, config);
     engine.set_initial(init);
     let i0 = engine.integrals();

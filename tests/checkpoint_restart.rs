@@ -2,36 +2,32 @@
 //! bit-identically and a paused-then-resumed run must be
 //! indistinguishable — to the last bit of every DOF, series point and
 //! receiver record — from one that never stopped. Exercised across
-//! kernels × pipelines × pool modes, because serialization must not
-//! care how the bits were produced; plus rejection of corrupt files and
-//! the degenerate-dt error path.
+//! kernels and stepping modes, because serialization must not care how
+//! the bits were produced; plus checkpoints saved before the engine had
+//! a single step body, rejection of corrupt files and the degenerate-dt
+//! error path.
 
 use aderdg::core::checkpoint::Checkpoint;
-use aderdg::core::par::{self, PoolMode};
 use aderdg::core::registry::KernelRegistry;
 use aderdg::core::scenario::{
     drive, RunControl, RunRequest, RunSummary, Scenario, ScenarioError, ScenarioInfo,
     ScenarioParts, ScenarioRegistry,
 };
 use aderdg::core::tune::TuningMode;
-use aderdg::core::{Engine, EngineConfig, PipelineMode, SteppingMode};
+use aderdg::core::{Engine, EngineConfig, SteppingMode};
 use aderdg::mesh::StructuredMesh;
 use aderdg::pde::{Acoustic, AdvectionSystem};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// The pool knobs are process-global; serialize the tests that flip them.
-static THREAD_KNOB: Mutex<()> = Mutex::new(());
-
-fn seeded_engine(kernel: &str, pipeline: PipelineMode) -> Engine<Acoustic> {
+fn seeded_engine(kernel: &str) -> Engine<Acoustic> {
     let config = EngineConfig::new(3)
         .with_kernel(
             KernelRegistry::global()
                 .resolve(kernel)
                 .unwrap_or_else(|| panic!("kernel `{kernel}` not registered")),
         )
-        .with_tuning(TuningMode::Static)
-        .with_pipeline(pipeline);
+        .with_tuning(TuningMode::Static);
     let mesh = StructuredMesh::unit_cube(3);
     let mut engine = Engine::new(mesh, Acoustic, config);
     engine.set_initial(|x, q| {
@@ -54,55 +50,46 @@ fn state_bits(engine: &Engine<Acoustic>) -> Vec<u64> {
 
 /// Engine-level round trip: save mid-run, restore into a freshly built
 /// engine, and both the restored state and its *future* (two more steps)
-/// must be bit-identical — across two kernels, both pipelines and both
-/// pool modes, since the codec must not care how the bits were produced.
+/// must be bit-identical — across two kernels, since the codec must not
+/// care how the bits were produced.
 #[test]
 fn engine_state_round_trips_bit_identically_and_continues() {
-    let _guard = THREAD_KNOB.lock().unwrap();
-    let mode_before = par::pool_mode();
-    for pool in [PoolMode::Persistent, PoolMode::Scoped] {
-        par::set_pool_mode(pool);
-        for kernel in ["generic", "aosoa_splitck"] {
-            for pipeline in [PipelineMode::Barrier, PipelineMode::Sharded] {
-                let label = format!("{kernel}/{pipeline:?}/{pool:?}");
-                let mut original = seeded_engine(kernel, pipeline);
-                let dt = original.max_dt() * 0.5;
-                original.step(dt);
-                original.step(dt);
-                let saved = original.save_state();
+    for kernel in ["generic", "aosoa_splitck"] {
+        let mut original = seeded_engine(kernel);
+        let dt = original.max_dt() * 0.5;
+        original.step(dt);
+        original.step(dt);
+        let saved = original.save_state();
 
-                let mut restored = seeded_engine(kernel, pipeline);
-                restored.restore_state(&saved).expect("restore");
-                assert_eq!(restored.time.to_bits(), original.time.to_bits(), "{label}");
-                assert_eq!(restored.steps, original.steps, "{label}");
-                assert_eq!(
-                    state_bits(&restored),
-                    state_bits(&original),
-                    "{label}: restored DOFs differ"
-                );
+        let mut restored = seeded_engine(kernel);
+        restored.restore_state(&saved).expect("restore");
+        assert_eq!(restored.time.to_bits(), original.time.to_bits(), "{kernel}");
+        assert_eq!(restored.steps, original.steps, "{kernel}");
+        assert_eq!(
+            state_bits(&restored),
+            state_bits(&original),
+            "{kernel}: restored DOFs differ"
+        );
 
-                // The restored engine's future must match too.
-                original.step(dt);
-                original.step(dt);
-                restored.step(dt);
-                restored.step(dt);
-                assert_eq!(
-                    state_bits(&restored),
-                    state_bits(&original),
-                    "{label}: evolution diverges after restore"
-                );
-                assert_eq!(
-                    original.receivers.len(),
-                    restored.receivers.len(),
-                    "{label}"
-                );
-                for (a, b) in original.receivers.iter().zip(&restored.receivers) {
-                    assert_eq!(a.records, b.records, "{label}: receiver traces differ");
-                }
-            }
+        // The restored engine's future must match too.
+        original.step(dt);
+        original.step(dt);
+        restored.step(dt);
+        restored.step(dt);
+        assert_eq!(
+            state_bits(&restored),
+            state_bits(&original),
+            "{kernel}: evolution diverges after restore"
+        );
+        assert_eq!(
+            original.receivers.len(),
+            restored.receivers.len(),
+            "{kernel}"
+        );
+        for (a, b) in original.receivers.iter().zip(&restored.receivers) {
+            assert_eq!(a.records, b.records, "{kernel}: receiver traces differ");
         }
     }
-    par::set_pool_mode(mode_before);
 }
 
 /// LTS engine-level round trip: the checkpoint must carry the
@@ -112,7 +99,6 @@ fn engine_state_round_trips_bit_identically_and_continues() {
 /// bulk makes the run genuinely multi-level.
 #[test]
 fn lts_state_round_trips_with_cluster_clocks_and_continues() {
-    let _guard = THREAD_KNOB.lock().unwrap();
     let seeded = || {
         let config = EngineConfig::new(3)
             .with_tuning(TuningMode::Static)
@@ -185,14 +171,10 @@ fn tmp(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!("aderdg-ckpt-{}-{label}.ckpt", std::process::id()))
 }
 
-fn base_request(kernel: &str, pipeline: &str) -> RunRequest {
+fn base_request(kernel: &str) -> RunRequest {
     let mut req = RunRequest::smoke();
     // Static tuning: probe would re-time block sizes on the resumed run.
-    for (key, value) in [
-        ("kernel", kernel),
-        ("pipeline", pipeline),
-        ("tuning", "static"),
-    ] {
+    for (key, value) in [("kernel", kernel), ("tuning", "static")] {
         assert!(req.set(key, value).unwrap(), "unknown key {key}");
     }
     req
@@ -209,54 +191,51 @@ fn run(req: RunRequest) -> RunSummary {
 /// Scenario-level round trip through real files: pause at step 1 into a
 /// checkpoint, resume it, and the final checkpoint must be byte-for-byte
 /// identical to one saved by a run that was never interrupted — for two
-/// kernels × both pipelines.
+/// kernels.
 #[test]
 fn paused_and_resumed_run_matches_uninterrupted_bit_for_bit() {
     for kernel in ["generic", "splitck"] {
-        for pipeline in ["barrier", "sharded"] {
-            let label = format!("{kernel}-{pipeline}");
-            let full_ck = tmp(&format!("{label}-full"));
-            let pause_ck = tmp(&format!("{label}-pause"));
-            let resumed_ck = tmp(&format!("{label}-resumed"));
+        let full_ck = tmp(&format!("{kernel}-full"));
+        let pause_ck = tmp(&format!("{kernel}-pause"));
+        let resumed_ck = tmp(&format!("{kernel}-resumed"));
 
-            // Uninterrupted reference.
-            let mut req = base_request(kernel, pipeline);
-            req.save_checkpoint = Some(full_ck.clone());
-            let full = run(req);
-            assert!(!full.paused);
+        // Uninterrupted reference.
+        let mut req = base_request(kernel);
+        req.save_checkpoint = Some(full_ck.clone());
+        let full = run(req);
+        assert!(!full.paused);
 
-            // Pause at step 1, checkpoint, resume to the end.
-            let mut req = base_request(kernel, pipeline);
-            req.save_checkpoint = Some(pause_ck.clone());
-            let control = Arc::new(RunControl::new());
-            control.pause_at_step(1);
-            req.control = Some(control);
-            let paused = run(req);
-            assert!(paused.paused, "{label}: run did not pause");
-            assert_eq!(paused.steps, 1, "{label}");
+        // Pause at step 1, checkpoint, resume to the end.
+        let mut req = base_request(kernel);
+        req.save_checkpoint = Some(pause_ck.clone());
+        let control = Arc::new(RunControl::new());
+        control.pause_at_step(1);
+        req.control = Some(control);
+        let paused = run(req);
+        assert!(paused.paused, "{kernel}: run did not pause");
+        assert_eq!(paused.steps, 1, "{kernel}");
 
-            let ck = Checkpoint::load(&pause_ck).expect("load pause checkpoint");
-            let mut req = ck.to_request().expect("replay knobs");
-            req.save_checkpoint = Some(resumed_ck.clone());
-            req.resume = Some(Arc::new(ck));
-            let resumed = run(req);
-            assert!(!resumed.paused, "{label}: resume did not finish");
+        let ck = Checkpoint::load(&pause_ck).expect("load pause checkpoint");
+        let mut req = ck.to_request().expect("replay knobs");
+        req.save_checkpoint = Some(resumed_ck.clone());
+        req.resume = Some(Arc::new(ck));
+        let resumed = run(req);
+        assert!(!resumed.paused, "{kernel}: resume did not finish");
 
-            let full_bytes = std::fs::read(&full_ck).unwrap();
-            let resumed_bytes = std::fs::read(&resumed_ck).unwrap();
-            assert_eq!(
-                full_bytes, resumed_bytes,
-                "{label}: resumed checkpoint differs from the uninterrupted one"
-            );
-            // The summaries' series agree too (same data, pre-file).
-            assert_eq!(full.steps, resumed.steps, "{label}");
-            for (a, b) in full.series.iter().zip(&resumed.series) {
-                assert_eq!(a.t.to_bits(), b.t.to_bits(), "{label}");
-                assert_eq!(a.l2_norm.to_bits(), b.l2_norm.to_bits(), "{label}");
-            }
-            for path in [&full_ck, &pause_ck, &resumed_ck] {
-                let _ = std::fs::remove_file(path);
-            }
+        let full_bytes = std::fs::read(&full_ck).unwrap();
+        let resumed_bytes = std::fs::read(&resumed_ck).unwrap();
+        assert_eq!(
+            full_bytes, resumed_bytes,
+            "{kernel}: resumed checkpoint differs from the uninterrupted one"
+        );
+        // The summaries' series agree too (same data, pre-file).
+        assert_eq!(full.steps, resumed.steps, "{kernel}");
+        for (a, b) in full.series.iter().zip(&resumed.series) {
+            assert_eq!(a.t.to_bits(), b.t.to_bits(), "{kernel}");
+            assert_eq!(a.l2_norm.to_bits(), b.l2_norm.to_bits(), "{kernel}");
+        }
+        for path in [&full_ck, &pause_ck, &resumed_ck] {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -272,7 +251,7 @@ fn lts_paused_and_resumed_run_matches_uninterrupted_bit_for_bit() {
         .expect("acoustic_layered registered");
     let run = |req: RunRequest| scenario.run(&req).expect("run succeeds");
     let lts_request = || {
-        let mut req = base_request("splitck", "sharded");
+        let mut req = base_request("splitck");
         assert!(req.set("stepping", "lts").unwrap(), "unknown key stepping");
         req
     };
@@ -319,12 +298,74 @@ fn lts_paused_and_resumed_run_matches_uninterrupted_bit_for_bit() {
     }
 }
 
+/// Checkpoints saved while the engine still had a barrier and a sharded
+/// global step body (`tests/fixtures/`: an `acoustic_wave` smoke run
+/// paused after step 1, one per `pipeline` setting) still load: their
+/// pinned `pipeline` knob is accepted and ignored. The sharded one must
+/// resume to a checkpoint byte-for-byte identical to an uninterrupted
+/// run of today's engine; the barrier one solved each interior face
+/// twice, so it must finish within 1e-12 of it.
+#[test]
+fn checkpoints_pinning_a_pipeline_still_load_and_finish() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (pipeline, tol) in [("sharded", None), ("barrier", Some(1e-12))] {
+        let fixture = fixtures.join(format!("acoustic_wave_smoke_{pipeline}.ckpt"));
+        let ck = Checkpoint::load(&fixture).expect("load fixture checkpoint");
+        assert!(
+            ck.knobs
+                .iter()
+                .any(|(k, v)| k == "pipeline" && v == pipeline),
+            "{pipeline}: the fixture must pin the old knob"
+        );
+        assert_eq!(ck.engine.steps, 1, "{pipeline}");
+        let full_ck = tmp(&format!("fixture-{pipeline}-full"));
+        let resumed_ck = tmp(&format!("fixture-{pipeline}-resumed"));
+
+        // Uninterrupted reference with the fixture's knobs.
+        let mut req = ck.to_request().expect("replay knobs");
+        req.save_checkpoint = Some(full_ck.clone());
+        let full = run(req);
+
+        let mut req = ck.to_request().expect("replay knobs");
+        req.save_checkpoint = Some(resumed_ck.clone());
+        req.resume = Some(Arc::new(ck));
+        let resumed = run(req);
+        assert!(!resumed.paused, "{pipeline}: resume did not finish");
+        assert_eq!(full.steps, resumed.steps, "{pipeline}");
+
+        match tol {
+            None => assert_eq!(
+                std::fs::read(&full_ck).unwrap(),
+                std::fs::read(&resumed_ck).unwrap(),
+                "{pipeline}: resumed checkpoint differs from the uninterrupted one"
+            ),
+            Some(tol) => {
+                let a = Checkpoint::load(&full_ck).unwrap().engine.state;
+                let b = Checkpoint::load(&resumed_ck).unwrap().engine.state;
+                assert_eq!(a.len(), b.len(), "{pipeline}");
+                let scale = a.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                let diff = a
+                    .iter()
+                    .zip(&b)
+                    .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
+                assert!(
+                    diff <= tol * scale,
+                    "{pipeline}: resumed state differs by {diff:e} (scale {scale:e})"
+                );
+            }
+        }
+        for path in [&full_ck, &resumed_ck] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 /// Corrupt and truncated checkpoint files must be rejected with an
 /// error — never a panic, never a silently wrong resume.
 #[test]
 fn corrupt_checkpoint_files_are_rejected_on_load() {
     let path = tmp("corrupt-source");
-    let mut req = base_request("generic", "barrier");
+    let mut req = base_request("generic");
     req.save_checkpoint = Some(path.clone());
     run(req);
     let good = std::fs::read(&path).unwrap();

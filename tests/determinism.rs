@@ -1,21 +1,19 @@
 //! Thread-count determinism: `Engine::step` must be bit-identical under
-//! `ADERDG_THREADS = 1`, `4` and `16` — on **both** pipelines.
+//! `ADERDG_THREADS = 1`, `4` and `16`, and match the serial cell-centric
+//! reference oracle (`tests/common/oracle.rs`) to the last bit.
 //!
-//! Barrier path: the cell loops in `aderdg::core::par` chunk statically
-//! over worker threads; every cell's predictor and corrector arithmetic
-//! is self-contained (the corrector *reads* neighbour face tensors but
-//! only writes its own cell), and `max_dt`'s parallel reduction is a
-//! pure `max`, which is associative and commutative over non-NaN values.
-//!
-//! Sharded path: the task *schedule* is thread-count dependent, but every
-//! face flux is computed exactly once by one task from fixed predictor
-//! outputs, and each cell applies its corrections in a fixed order — so
-//! the execution order must never leak into results, not even in the
-//! last ulp. These tests guard both the static chunking and the shard
-//! scheduler against accumulation-order drift.
+//! The task *schedule* is thread-count dependent, but every face flux is
+//! computed exactly once by one task from fixed predictor outputs, each
+//! cell applies its corrections in a fixed order, and `max_dt`'s
+//! parallel reduction is a pure `max` folded in chunk order — so the
+//! execution order must never leak into results, not even in the last
+//! ulp. These tests guard the shard scheduler and the chunked cell loops
+//! against accumulation-order drift.
 
-use aderdg::core::par::PoolMode;
-use aderdg::core::{par, Engine, EngineConfig, PipelineMode};
+#[path = "common/oracle.rs"]
+mod oracle;
+
+use aderdg::core::{par, Engine, EngineConfig, SteppingMode};
 use aderdg::mesh::StructuredMesh;
 use aderdg::pde::{Acoustic, PointSource, SourceTimeFunction};
 use std::sync::Mutex;
@@ -24,10 +22,8 @@ use std::sync::Mutex;
 /// flip it so they cannot interleave.
 static THREAD_KNOB: Mutex<()> = Mutex::new(());
 
-/// Runs a seeded acoustic problem with a point source at the given thread
-/// count and returns the full evolved state, bit-exact.
-fn run_with(threads: usize, config: EngineConfig) -> Vec<u64> {
-    par::set_num_threads(threads);
+/// A seeded acoustic problem with a point source, and its step length.
+fn seeded(config: EngineConfig) -> (Engine<Acoustic>, PointSource, f64) {
     let mesh = StructuredMesh::unit_cube(3);
     let mut engine = Engine::new(mesh, Acoustic, config);
     // Smooth deterministic initial data (a function of position only, so
@@ -40,16 +36,25 @@ fn run_with(threads: usize, config: EngineConfig) -> Vec<u64> {
         q[3] = 0.02 * s * s;
         Acoustic::set_params(q, 1.0 + 0.2 * x[2], 1.0);
     });
-    engine.add_point_source(PointSource {
+    let source = PointSource {
         position: [0.4, 0.55, 0.6],
         amplitude: vec![1.0, 0.0, 0.0, 0.0],
         stf: SourceTimeFunction::Ricker {
             t0: 0.08,
             frequency: 6.0,
         },
-    });
+    };
+    engine.add_point_source(source.clone());
     let dt = engine.max_dt() * 0.5;
     assert!(dt.is_finite() && dt > 0.0);
+    (engine, source, dt)
+}
+
+/// Runs the seeded problem at the given thread count and returns the
+/// full evolved state, bit-exact.
+fn run_with(threads: usize, config: EngineConfig) -> Vec<u64> {
+    par::set_num_threads(threads);
+    let (mut engine, _, dt) = seeded(config);
     for _ in 0..3 {
         engine.step(dt);
     }
@@ -89,10 +94,20 @@ fn assert_thread_invariant(config: EngineConfig, label: &str) {
 fn step_results_bit_identical_across_thread_counts() {
     let _guard = THREAD_KNOB.lock().unwrap();
     let before = par::num_threads();
-    assert_thread_invariant(
-        EngineConfig::new(3).with_pipeline(PipelineMode::Barrier),
-        "barrier",
-    );
+    // Pinned to global stepping: that is what the oracle computes.
+    let config = EngineConfig::new(3).with_stepping(SteppingMode::Global);
+    assert_thread_invariant(config, "global");
+    let (engine, source, dt) = seeded(config);
+    let reference: Vec<u64> = oracle::run(&engine, &[source], dt, 3)
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let diffs = run_with(1, config)
+        .iter()
+        .zip(&reference)
+        .filter(|(a, b)| a != b)
+        .count();
+    assert_eq!(diffs, 0, "{diffs} doubles differ from the serial oracle");
     par::set_num_threads(before);
 }
 
@@ -103,7 +118,7 @@ fn sharded_step_bit_identical_across_thread_counts() {
     // Auto shard size plus explicit sizes that split the 27-cell mesh
     // into many shards (worst case for schedule-dependent ordering) and
     // one-shard / uneven-tail partitions.
-    let base = EngineConfig::new(3).with_pipeline(PipelineMode::Sharded);
+    let base = EngineConfig::new(3);
     assert_thread_invariant(base, "sharded(auto)");
     for shard_size in [2, 5, 27] {
         assert_thread_invariant(
@@ -115,81 +130,21 @@ fn sharded_step_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn steal_heavy_sharded_step_bit_identical_across_pool_modes() {
+fn steal_heavy_sharded_step_bit_identical_across_thread_counts() {
     // Steal-heavy workload: shard sizes that leave uneven tails on the
     // 27-cell mesh (13+13+1 and 11+11+5) give some workers far more cells
-    // than others, so the persistent pool's idle workers must steal to
-    // finish — the schedule differs maximally between modes and thread
-    // counts, yet the evolved state must not drift by a single bit.
+    // than others, so the pool's idle workers must steal to finish — the
+    // schedule differs maximally between thread counts, yet the evolved
+    // state must not drift by a single bit.
     let _guard = THREAD_KNOB.lock().unwrap();
-    let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
+    let before = par::num_threads();
     for shard_size in [13, 11] {
-        let config = EngineConfig::new(3)
-            .with_pipeline(PipelineMode::Sharded)
-            .with_shard_size(shard_size);
-        par::set_pool_mode(PoolMode::Scoped);
-        let reference = run_with(1, config);
-        assert!(
-            reference.iter().any(|&b| b != 0),
-            "steal-heavy: the run must actually evolve data"
+        assert_thread_invariant(
+            EngineConfig::new(3).with_shard_size(shard_size),
+            &format!("steal-heavy shard_size={shard_size}"),
         );
-        for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-            par::set_pool_mode(mode);
-            for threads in [1, 4, 16] {
-                let result = run_with(threads, config);
-                let diffs = result
-                    .iter()
-                    .zip(&reference)
-                    .filter(|(a, b)| a != b)
-                    .count();
-                assert_eq!(
-                    diffs, 0,
-                    "steal-heavy shard_size={shard_size}: {diffs} doubles \
-                     differ at {threads} threads ({mode:?}) vs scoped/1-thread"
-                );
-            }
-        }
     }
-    par::set_pool_mode(mode_before);
-    par::set_num_threads(threads_before);
-}
-
-#[test]
-fn max_dt_bit_identical_across_pool_modes() {
-    // `max_dt` is the one parallel *reduction* in the step loop; the
-    // persistent pool folds per-chunk partial maxima in chunk-index order
-    // regardless of which worker computed them, so the result must match
-    // the scoped path and every thread count exactly.
-    let _guard = THREAD_KNOB.lock().unwrap();
-    let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    let dt_at = |mode: PoolMode, threads: usize| {
-        par::set_pool_mode(mode);
-        par::set_num_threads(threads);
-        let mesh = StructuredMesh::unit_cube(4);
-        let mut engine = Engine::new(mesh, Acoustic, EngineConfig::new(2));
-        engine.set_initial(|x, q| {
-            q[0] = x[0];
-            q[1] = 0.0;
-            q[2] = 0.0;
-            q[3] = 0.0;
-            Acoustic::set_params(q, 1.0 + 0.5 * x[1], 1.0 + 0.25 * x[0]);
-        });
-        engine.max_dt().to_bits()
-    };
-    let reference = dt_at(PoolMode::Scoped, 1);
-    for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-        for threads in [1, 4, 16] {
-            assert_eq!(
-                dt_at(mode, threads),
-                reference,
-                "max_dt drifted at {threads} threads ({mode:?})"
-            );
-        }
-    }
-    par::set_pool_mode(mode_before);
-    par::set_num_threads(threads_before);
+    par::set_num_threads(before);
 }
 
 #[test]

@@ -1,20 +1,24 @@
-//! The once-per-face contract, measured: the sharded pipeline performs
-//! `interior + boundary` Riemann solves per step (eq. 5 — one per face),
-//! where the cell-centric barrier path performs `6 · cells` (every
-//! interior face twice).
+//! The once-per-face contract, measured: the engine's shard step
+//! performs `interior + boundary` Riemann solves per step (eq. 5 — one
+//! per face), where the cell-centric reference oracle
+//! (`tests/common/oracle.rs`) performs `6 · cells` (every interior face
+//! twice).
 //!
 //! Uses the debug-build flux-solve counter in `aderdg::core::riemann`;
 //! the counter is process-global, so all assertions live in this one
 //! test function (integration-test files run as their own process).
 
+#[path = "common/oracle.rs"]
+mod oracle;
+
 use aderdg::core::riemann::{
     flux_solve_count, flux_solve_counting_enabled, reset_flux_solve_count,
 };
-use aderdg::core::{Engine, EngineConfig, PipelineMode, SteppingMode};
+use aderdg::core::{Engine, EngineConfig, SteppingMode};
 use aderdg::mesh::{BoundaryKind, StructuredMesh};
 use aderdg::pde::Acoustic;
 
-fn step_solves(config: EngineConfig, mesh: StructuredMesh) -> usize {
+fn engine(config: EngineConfig, mesh: StructuredMesh) -> Engine<Acoustic> {
     let mut engine = Engine::new(mesh, Acoustic, config);
     engine.set_initial(|x, q| {
         q[0] = (x[0] * 3.0 + x[1]).sin();
@@ -23,10 +27,26 @@ fn step_solves(config: EngineConfig, mesh: StructuredMesh) -> usize {
         q[3] = 0.0;
         Acoustic::set_params(q, 1.0, 1.0);
     });
+    engine
+}
+
+/// Riemann solves of the engine's second step (the first is a warm-up
+/// outside the counted window).
+fn step_solves(config: EngineConfig, mesh: StructuredMesh) -> usize {
+    let mut engine = engine(config, mesh);
     let dt = engine.max_dt() * 0.5;
-    engine.step(dt); // warm-up step outside the counted window
+    engine.step(dt);
     reset_flux_solve_count();
     engine.step(dt);
+    flux_solve_count()
+}
+
+/// Riemann solves of one oracle step.
+fn oracle_solves(mesh: StructuredMesh) -> usize {
+    let engine = engine(EngineConfig::new(3), mesh);
+    let dt = engine.max_dt() * 0.5;
+    reset_flux_solve_count();
+    oracle::run(&engine, &[], dt, 1);
     flux_solve_count()
 }
 
@@ -37,33 +57,21 @@ fn sharded_step_solves_each_face_exactly_once() {
         return;
     }
 
-    // Fully periodic cube: 3·cells interior faces, no boundary. The
-    // counts are a *pipeline* contract, so pin `stepping = global`
-    // against the `ADERDG_STEPPING=lts` CI leg (under which `pipeline`
-    // is ignored and the barrier count would never materialize).
+    // Fully periodic cube: 3·cells interior faces, no boundary. Pin
+    // `stepping = global` against the `ADERDG_STEPPING=lts` CI leg.
     let cells = 27;
-    let barrier = step_solves(
-        EngineConfig::new(3)
-            .with_stepping(SteppingMode::Global)
-            .with_pipeline(PipelineMode::Barrier),
-        StructuredMesh::unit_cube(3),
-    );
-    assert_eq!(
-        barrier,
-        6 * cells,
-        "cell-centric path: two solves per interior face"
-    );
+    let oracle = oracle_solves(StructuredMesh::unit_cube(3));
+    assert_eq!(oracle, 6 * cells, "oracle: two solves per interior face");
     let sharded = step_solves(
         EngineConfig::new(3)
             .with_stepping(SteppingMode::Global)
-            .with_pipeline(PipelineMode::Sharded)
             .with_shard_size(4),
         StructuredMesh::unit_cube(3),
     );
     assert_eq!(
         sharded,
         3 * cells,
-        "once-per-face path halves the interior solves"
+        "once-per-face step halves the interior solves"
     );
     // Degenerate LTS (uniform medium ⇒ one cluster, one slot per macro
     // cycle) inherits the once-per-face count exactly.
@@ -87,18 +95,14 @@ fn sharded_step_solves_each_face_exactly_once() {
             BoundaryKind::Periodic,
         ],
     );
-    let config = EngineConfig::new(3)
-        .with_stepping(SteppingMode::Global)
-        .with_pipeline(PipelineMode::Sharded);
+    let config = EngineConfig::new(3).with_stepping(SteppingMode::Global);
     let engine = Engine::new(mesh.clone(), Acoustic, config);
-    let splan = engine
-        .shard_plan()
-        .expect("sharded engine has a shard plan");
+    let splan = engine.shard_plan().expect("the engine has a shard plan");
     let expected = splan.num_interior_faces() + splan.num_boundary_faces();
     drop(engine);
     let sharded = step_solves(config, mesh.clone());
     assert_eq!(sharded, expected, "one solve per canonical face");
-    let barrier = step_solves(config.with_pipeline(PipelineMode::Barrier), mesh);
-    assert_eq!(barrier, 6 * 12, "barrier path visits every cell slot");
-    assert!(sharded < barrier);
+    let oracle = oracle_solves(mesh);
+    assert_eq!(oracle, 6 * 12, "oracle visits every cell slot");
+    assert!(sharded < oracle);
 }

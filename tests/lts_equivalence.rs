@@ -1,15 +1,17 @@
-//! Local time stepping vs the global-dt paths.
+//! Local time stepping vs global stepping.
 //!
 //! Two contracts from `docs/LTS.md`:
 //!
 //! 1. **Degenerate exactness** — on a dt-homogeneous problem every cell
-//!    lands in one cluster, the LTS graph collapses to the sharded
-//!    Predict → Flux → Apply chain with `num_slots = 1`, and `stepping =
-//!    lts` must reproduce `stepping = global` (sharded pipeline)
+//!    lands in one cluster, the LTS graph is the single-level Predict →
+//!    Flux → Apply chain global stepping runs, with `num_slots = 1`, and
+//!    `stepping = lts` must reproduce `stepping = global`
 //!    **bit-for-bit**: same partition, same once-per-face flux order,
-//!    same corrector order, `dt_base = dt / 1` exact. Checked for every
-//!    registered kernel, both `pipeline` settings (ignored under LTS),
-//!    several shard sizes and 1/4/16 worker threads.
+//!    same corrector order, `dt_base = dt / 1` exact — although the
+//!    levels come from `assign_levels` over the state and the dt from
+//!    the cached cluster metadata instead of a fresh reduction. Checked
+//!    for every registered kernel, several shard sizes and 1/4/16 worker
+//!    threads.
 //!
 //! 2. **Two-cluster accuracy** — on a 2:1 wave-speed contrast the slow
 //!    cells step at `2·dt_base`, composing the coarse predictor's
@@ -21,8 +23,7 @@
 //!    must shrink at second order under dt refinement — on both acoustic
 //!    and shallow-water physics.
 
-use aderdg::core::par::PoolMode;
-use aderdg::core::{par, Engine, EngineConfig, KernelRegistry, PipelineMode, SteppingMode};
+use aderdg::core::{par, Engine, EngineConfig, KernelRegistry, SteppingMode};
 use aderdg::mesh::{BoundaryKind, StructuredMesh};
 use aderdg::pde::{Acoustic, LinearizedSwe, PointSource, SourceTimeFunction};
 use std::sync::Mutex;
@@ -79,31 +80,21 @@ fn run_homogeneous(config: EngineConfig) -> Vec<u64> {
         .collect()
 }
 
-/// Asserts the degenerate LTS run is bit-identical to the global sharded
-/// run under `config`'s kernel/shard settings.
+/// Asserts the degenerate LTS run is bit-identical to the global run
+/// under `config`'s kernel/shard settings.
 fn assert_degenerate_bitwise(base: EngineConfig, label: &str) {
-    let global = run_homogeneous(
-        base.with_stepping(SteppingMode::Global)
-            .with_pipeline(PipelineMode::Sharded),
-    );
+    let global = run_homogeneous(base.with_stepping(SteppingMode::Global));
     assert!(
         global.iter().any(|&b| b != 0),
         "{label}: the run must actually evolve data"
     );
-    // `pipeline` is ignored under LTS — both settings must take the same
-    // graph path and agree with the global sharded run exactly.
-    for pipeline in [PipelineMode::Sharded, PipelineMode::Barrier] {
-        let lts = run_homogeneous(
-            base.with_stepping(SteppingMode::Lts)
-                .with_pipeline(pipeline),
-        );
-        let diffs = lts.iter().zip(&global).filter(|(a, b)| a != b).count();
-        assert_eq!(
-            diffs, 0,
-            "{label} ({pipeline:?}): {diffs} doubles differ between \
-             degenerate LTS and the global sharded run"
-        );
-    }
+    let lts = run_homogeneous(base.with_stepping(SteppingMode::Lts));
+    let diffs = lts.iter().zip(&global).filter(|(a, b)| a != b).count();
+    assert_eq!(
+        diffs, 0,
+        "{label}: {diffs} doubles differ between degenerate LTS and the \
+         global run"
+    );
 }
 
 #[test]
@@ -132,32 +123,22 @@ fn degenerate_lts_bitwise_matches_global_across_shard_sizes() {
 }
 
 #[test]
-fn degenerate_lts_bitwise_matches_global_across_threads_and_pool_modes() {
+fn degenerate_lts_bitwise_matches_global_across_threads() {
     let _guard = THREAD_KNOB.lock().unwrap();
     let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
     par::set_num_threads(1);
-    par::set_pool_mode(PoolMode::Scoped);
     let config = EngineConfig::new(3).with_shard_size(5);
-    let reference = run_homogeneous(
-        config
-            .with_stepping(SteppingMode::Global)
-            .with_pipeline(PipelineMode::Sharded),
-    );
-    for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-        par::set_pool_mode(mode);
-        for threads in [1, 4, 16] {
-            par::set_num_threads(threads);
-            let lts = run_homogeneous(config.with_stepping(SteppingMode::Lts));
-            let diffs = lts.iter().zip(&reference).filter(|(a, b)| a != b).count();
-            assert_eq!(
-                diffs, 0,
-                "{diffs} doubles differ between degenerate LTS at {threads} \
-                 threads ({mode:?}) and the scoped 1-thread global run"
-            );
-        }
+    let reference = run_homogeneous(config.with_stepping(SteppingMode::Global));
+    for threads in [1, 4, 16] {
+        par::set_num_threads(threads);
+        let lts = run_homogeneous(config.with_stepping(SteppingMode::Lts));
+        let diffs = lts.iter().zip(&reference).filter(|(a, b)| a != b).count();
+        assert_eq!(
+            diffs, 0,
+            "{diffs} doubles differ between degenerate LTS at {threads} \
+             threads and the 1-thread global run"
+        );
     }
-    par::set_pool_mode(mode_before);
     par::set_num_threads(threads_before);
 }
 
@@ -193,7 +174,7 @@ where
     F: Fn([f64; 3], &mut [f64]) + Copy + Sync,
 {
     let mesh = || StructuredMesh::new([4, 2, 2], [0.0; 3], [1.0; 3], [BoundaryKind::Reflective; 3]);
-    let config = EngineConfig::new(5).with_pipeline(PipelineMode::Sharded);
+    let config = EngineConfig::new(5);
 
     let mut lts = Engine::new(mesh(), pde(), config.with_stepping(SteppingMode::Lts));
     lts.set_initial(init);
